@@ -173,7 +173,7 @@ fn drift_loss_point(loss: f64, adaptive: bool) -> (f64, f64, usize, u64) {
     )
     .expect("drift-loss service run");
     assert!(rep.all_correct(), "verdicts diverged at loss {loss} (adaptive {adaptive})");
-    let rob = rep.robustness.as_ref().expect("fault model forces the robust path");
+    let rob = rep.robustness.as_ref().expect("every run reports robustness");
     (rep.network.sensing_uj, rep.network.total_uj(), rob.delivered_results, rob.readmissions)
 }
 
@@ -250,7 +250,7 @@ fn overload_scenario(fields: &mut Vec<(String, f64)>) {
 
     let scheduled = schedule.len();
     let shed_frac = rep.shed as f64 / scheduled as f64;
-    let rob = rep.service.robustness.as_ref().expect("budget forces the robust path");
+    let rob = rep.service.robustness.as_ref().expect("every run reports robustness");
     assert!(rep.shed > 0, "the overload scenario must actually shed");
     assert!(
         shed_frac <= 0.5,
@@ -328,7 +328,7 @@ fn crash_scenario(fields: &mut Vec<(String, f64)>) {
     .expect("crashy service run");
     std::fs::remove_dir_all(&dir).ok();
 
-    let rob = rep.service.robustness.as_ref().expect("crash config forces the robust path");
+    let rob = rep.service.robustness.as_ref().expect("every run reports robustness");
     assert_eq!(rob.crashes, 1, "exactly one crash is scheduled");
     assert_eq!(rob.cold_starts, 0, "recovery must restore from checkpoint + WAL");
     assert!(rob.checkpoints_written >= 2);

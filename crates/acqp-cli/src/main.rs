@@ -1035,7 +1035,7 @@ fn cmd_serve(args: &Args) -> CliResult<()> {
         return Err(invalid(
             "exec",
             "vectorized",
-            "the vectorized service covers only the lossless loop \
+            "the vectorized service runs only lossless and crash-free \
              (drop the fault and crash flags)",
         ));
     }
@@ -1085,8 +1085,9 @@ fn cmd_serve(args: &Args) -> CliResult<()> {
     }
 
     let rec = recorder_from(args)?;
-    // An inactive crash config must stay `Default` (its nonzero
-    // checkpoint cadence would otherwise force the robust path).
+    // An inactive crash config must stay `Default`: a nonzero
+    // checkpoint cadence alone counts as an active crash config, which
+    // rules out vectorized execution.
     let crash = if crashy {
         CrashConfig { checkpoint_dir, checkpoint_every, crash_epochs, crash_rate }
     } else {
@@ -1196,7 +1197,7 @@ fn cmd_serve(args: &Args) -> CliResult<()> {
         );
     }
     // Robustness summaries print only when their feature is active, so
-    // a default serve run stays byte-identical to the lossless loop.
+    // zero-rate fault flags leave a serve run's output byte-identical.
     if let Some(rob) = rep.service.robustness.as_ref() {
         if !faults.is_lossless() {
             println!(

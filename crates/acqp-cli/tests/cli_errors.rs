@@ -229,7 +229,7 @@ fn loss_zero_serve_output_is_bitwise_identical_to_default() {
         assert!(zero.status.success(), "{}", String::from_utf8_lossy(&zero.stderr));
         assert_eq!(
             base.stdout, zero.stdout,
-            "loss-0/no-crash serve must match the lossless loop byte for byte ({exec:?})"
+            "loss-0/no-crash serve must match a flagless run byte for byte ({exec:?})"
         );
     }
 }

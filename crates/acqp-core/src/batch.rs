@@ -286,8 +286,11 @@ impl PreparedPlan {
         self.flat.node_count()
     }
 
-    fn chain(&self, start: u32, len: u32) -> &[AttrId] {
-        &self.chains[start as usize..(start + len) as usize]
+    /// The acquisition chain at `start..start + len` of the plan's
+    /// arena, as returned by [`BatchOutcome::chain_span`] (empty for a
+    /// span outside the arena).
+    pub fn chain(&self, start: u32, len: u32) -> &[AttrId] {
+        self.chains.get(start as usize..start as usize + len as usize).unwrap_or_default()
     }
 }
 
@@ -342,6 +345,13 @@ impl BatchOutcome {
     /// against the plan the batch was executed with.
     pub fn acquired<'p>(&self, plan: &'p PreparedPlan, slot: usize) -> &'p [AttrId] {
         plan.chain(self.chain_start[slot], self.chain_len[slot])
+    }
+
+    /// `slot`'s acquisition chain as a `(start, len)` span of the
+    /// prepared plan's arena: eight bytes a caller can keep per slot and
+    /// resolve later with [`PreparedPlan::chain`].
+    pub fn chain_span(&self, slot: usize) -> (u32, u32) {
+        (self.chain_start[slot], self.chain_len[slot])
     }
 
     /// Materializes `slot` as a scalar-shaped [`ExecOutcome`] (used by

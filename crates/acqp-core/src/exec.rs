@@ -33,9 +33,10 @@ pub enum ExecMode {
 
 /// How one scheduled query ended, for callers that serve many queries
 /// with retry, deadline, and admission-control policies (the sensornet
-/// service loop). The lossless loop only ever produces `Complete`;
-/// every degraded terminal state is typed so downstream accounting can
-/// never silently conflate "finished" with "gave up".
+/// service loop). A lossless run without deadlines or admission
+/// control only ever produces `Complete`; every degraded terminal
+/// state is typed so downstream accounting can never silently conflate
+/// "finished" with "gave up".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueryStatus {
     /// Ran its full window and every produced result was delivered.

@@ -204,10 +204,12 @@ pub fn rule_info(id: &str) -> Option<&'static RuleInfo> {
 }
 
 /// Whether `relpath` is test/bench/example code, exempt from the
-/// library-code rules.
+/// library-code rules. `servebench/` is the end-to-end benchmark
+/// package: it times calls with the wall clock by design.
 pub fn is_test_path(relpath: &str) -> bool {
     let p = relpath;
-    p.starts_with("tests/")
+    p.starts_with("servebench/")
+        || p.starts_with("tests/")
         || p.contains("/tests/")
         || p.starts_with("benches/")
         || p.contains("/benches/")

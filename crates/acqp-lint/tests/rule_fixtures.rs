@@ -82,6 +82,8 @@ fn rule_scopes_follow_the_path_not_the_content() {
     assert!(findings.is_empty(), "{findings:?}");
     let (findings, _) = run("crates/acqp-bench/benches/fixture.rs", VIOLATIONS);
     assert!(findings.is_empty(), "{findings:?}");
+    let (findings, _) = run("servebench/src/fixture.rs", VIOLATIONS);
+    assert!(findings.is_empty(), "{findings:?}");
 }
 
 #[test]

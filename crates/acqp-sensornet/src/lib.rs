@@ -54,8 +54,8 @@ pub use interp::execute_wire;
 pub use mote::Mote;
 pub use recovery::{CrashConfig, CrashReport};
 pub use service::{
-    run_service, run_service_with, AdmittedPlan, QueryOutcome, ScheduleEntry, ServePlanner,
-    ServePolicyState, ServeRobustReport, ServiceOptions, ServicePolicy, ServiceReport,
+    run_service_with, AdmittedPlan, QueryOutcome, ScheduleEntry, ServePlanner, ServePolicyState,
+    ServeRobustReport, ServiceOptions, ServicePolicy, ServiceReport,
 };
 pub use sim::{
     result_packet_bytes, run_simulation, run_simulation_adaptive, run_simulation_crashy,

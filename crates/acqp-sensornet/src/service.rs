@@ -1,8 +1,8 @@
 //! The multi-query basestation service loop (`DESIGN.md` §14).
 //!
-//! [`run_service`] admits a *schedule* of queries over one fleet and
-//! runs them concurrently, merging their acquisition demands per epoch:
-//! within one `(epoch, mote)` slot the first query to demand an
+//! [`run_service_with`] admits a *schedule* of queries over one fleet
+//! and runs them concurrently, merging their acquisition demands per
+//! epoch: within one `(epoch, mote)` slot the first query to demand an
 //! attribute pays for the sensor read and every later live query is
 //! served from the shared value cache for free
 //! ([`acqp_core::SharedSource`]). Planning is delegated to a
@@ -10,13 +10,20 @@
 //! plans and invalidate them on drift without this engine knowing
 //! about either.
 //!
+//! One epoch loop serves every [`ServiceOptions`]. Faults, crash
+//! recovery, admission policy, deadlines and row collection are values
+//! the loop reads, not separate code paths: at their defaults every
+//! packet lands on its first attempt, every read succeeds and nothing
+//! is shed, so the lossless service is this loop with the fault rates
+//! at zero.
+//!
 //! Determinism: queries are admitted in schedule order, executed in
 //! admission order within every slot, and motes are visited in index
 //! order — the *arbitration order* is a pure function of the schedule,
-//! so fixed seeds reproduce runs bit-for-bit. A service run with a
-//! single scheduled query performs exactly the `f64` ledger additions
-//! of [`crate::sim::run_simulation_mode`] per accumulator, in the same
-//! order, and is therefore bitwise identical to it (pinned by
+//! so fixed seeds reproduce runs bit-for-bit. A default-options service
+//! run with a single scheduled query performs exactly the `f64` ledger
+//! additions of [`crate::sim::run_simulation_mode`] per accumulator, in
+//! the same order, and is therefore bitwise identical to it (pinned by
 //! `tests/serve_equivalence.rs`). Latency is measured in **epochs**,
 //! never wall-clock time.
 
@@ -85,7 +92,7 @@ pub struct AdmittedPlan {
     pub subproblems: u64,
 }
 
-/// The planning policy behind [`run_service`]: the engine calls
+/// The planning policy behind [`run_service_with`]: the engine calls
 /// [`ServePlanner::plan_admitted`] once per admission and
 /// [`ServePlanner::query_completed`] once per completion (handing over
 /// the query's observed per-predicate counts so the policy can track
@@ -155,16 +162,17 @@ pub struct QueryOutcome {
     /// Cached plans invalidated when this query's completion stats
     /// were absorbed.
     pub invalidated: u64,
-    /// Typed terminal outcome. The lossless loop only ever produces
-    /// [`QueryStatus::Complete`] (or `Shed` for entries scheduled
-    /// beyond the run).
+    /// Typed terminal outcome: `Complete`, `Partial` when the window
+    /// lost tuples or results, `TimedOut` at a deadline, or `Shed` for
+    /// entries dropped by admission control or scheduled beyond the run.
     pub status: QueryStatus,
     /// Epoch admission control dropped the query, if it was shed by
     /// policy rather than scheduled beyond the run.
     pub shed_at: Option<usize>,
     /// Delivered result rows as `(epoch, mote)` pairs in delivery
     /// order, when [`ServiceOptions::collect_rows`] is on (the
-    /// partial-result prefix guarantee is stated over these).
+    /// partial-result prefix guarantee is stated over these); empty
+    /// otherwise.
     pub rows: Vec<(usize, u16)>,
 }
 
@@ -186,7 +194,9 @@ pub struct ServiceReport {
     /// Sensor reads the live queries demanded (before merging) — the
     /// gap to `performed_acquisitions` is the sharing win.
     pub demanded_acquisitions: u64,
-    /// Fault/crash/policy accounting — `None` on the lossless path.
+    /// Fault, crash and policy accounting. Every run fills it (all
+    /// zeros on a default run); the `Option` keeps existing callers
+    /// compiling.
     pub robustness: Option<ServeRobustReport>,
 }
 
@@ -212,8 +222,8 @@ impl ServiceReport {
     }
 }
 
-/// Robustness accounting for one fault-tolerant service run
-/// (`DESIGN.md` §14.5).
+/// Robustness accounting for one service run (`DESIGN.md` §14.5); all
+/// zeros when nothing faults, crashes or is shed.
 #[derive(Debug, Clone, Default)]
 pub struct ServeRobustReport {
     /// Result packets that reached the basestation.
@@ -250,9 +260,9 @@ pub struct ServeRobustReport {
     pub recovery_rediss_uj: f64,
 }
 
-/// Admission-control and degradation policy for the robust service
-/// loop. The default is a no-op: admit everything immediately, never
-/// shed, never re-admit — required for loss-0 transparency.
+/// Admission-control and degradation policy for the service loop. The
+/// default is a no-op: admit everything immediately, never shed, never
+/// re-admit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServicePolicy {
     /// Per-epoch budget on the summed expected per-tuple cost of live
@@ -284,12 +294,6 @@ impl Default for ServicePolicy {
 }
 
 impl ServicePolicy {
-    /// Whether the policy can never alter a run (the transparency
-    /// precondition).
-    pub fn is_noop(&self) -> bool {
-        self.epoch_cost_budget.is_none() && !self.readmit_on_drift
-    }
-
     /// Validates the knobs: a budget must be a positive finite µJ
     /// figure and the fair share at least one.
     pub fn validate(&self) -> Result<()> {
@@ -314,9 +318,9 @@ impl ServicePolicy {
 }
 
 /// Everything optional about a service run: fault injection, crash
-/// recovery, admission policy, row collection. [`Default`] is exactly
-/// the lossless loop — [`run_service_with`] routes a default options
-/// struct through the identical code path as [`run_service`].
+/// recovery, admission policy, row collection. [`Default`] is the
+/// lossless service: no faults, no crashes, a no-op policy, no rows.
+/// Every option set runs the same epoch loop.
 #[derive(Debug, Clone)]
 pub struct ServiceOptions {
     /// Seeded fault model ([`FaultModel::none`] = lossless).
@@ -325,10 +329,9 @@ pub struct ServiceOptions {
     pub crash: CrashConfig,
     /// Admission-control policy (no-op by default).
     pub policy: ServicePolicy,
-    /// Collect delivered `(epoch, mote)` rows per query. Forces the
-    /// robust path even when everything else is default — the lever the
-    /// transparency proptests use to pin the robust loop at loss 0
-    /// against the lossless loop bitwise.
+    /// Collect delivered `(epoch, mote)` rows per query into
+    /// [`QueryOutcome::rows`]. Row collection only: it changes no count
+    /// and no ledger.
     pub collect_rows: bool,
 }
 
@@ -343,34 +346,54 @@ impl Default for ServiceOptions {
     }
 }
 
-impl ServiceOptions {
-    /// Whether these options cannot change anything about `schedule`'s
-    /// lossless execution, so the run may take the lossless fast path.
-    pub fn is_transparent(&self, schedule: &[ScheduleEntry]) -> bool {
-        self.faults.is_lossless()
-            && !self.crash.is_active()
-            && self.policy.is_noop()
-            && !self.collect_rows
-            && schedule.iter().all(|s| s.deadline.is_none())
-    }
+/// Vectorized-mode precomputation for one live query: the prepared
+/// plan plus, per mote, the batch executor's per-epoch verdicts and
+/// acquisition chains over the mote's trace window. A chain is stored
+/// as a `(start, len)` span of the prepared plan's arena and borrowed
+/// from it when the slot is merged.
+struct Batched {
+    prepared: PreparedPlan,
+    /// Epoch the per-mote arrays start at (re-set on drift readmission).
+    base: usize,
+    motes: Vec<MotePre>,
 }
 
-/// Vectorized-mode precomputation for one live query on one mote: the
-/// per-epoch verdicts and (node-constant) acquisition chains of its
-/// plan over the mote's trace window, produced by the batch executor.
+/// One mote's share of a [`Batched`] precomputation, indexed by epoch
+/// offset from [`Batched::base`].
 struct MotePre {
     verdicts: Vec<bool>,
-    chains: Vec<Vec<AttrId>>,
+    chains: Vec<(u32, u32)>,
 }
 
 /// One admitted, still-running query.
 struct LiveQuery {
     /// Index into the schedule (also the arbitration key).
     idx: usize,
+    /// Query signature (the fairness key).
+    sig: u64,
     planned: PlannedQuery,
     admit: usize,
     /// One past the query's last live epoch.
     end: usize,
+    /// Absolute deadline epoch (scheduled admission + deadline).
+    deadline_at: Option<usize>,
+    cache_hit: bool,
+    subproblems: u64,
+    /// Batch precomputation (vectorized mode only), boxed so scalar
+    /// runs keep the live set compact.
+    batched: Option<Box<Batched>>,
+    /// Which motes physically hold the current plan.
+    mote_has: Vec<bool>,
+    /// The basestation's belief about `mote_has` — process memory,
+    /// wiped to all-false by a crash (which is what forces the
+    /// recovery re-dissemination).
+    bs_known: Vec<bool>,
+    tally: Tally,
+}
+
+/// A live query's per-slot accounting, kept apart from its plan state
+/// so a slot can borrow the plan's chain arena while it tallies.
+struct Tally {
     uplink_bytes: usize,
     /// `pred_of[a]` = index of the predicate on attribute `a`, if any.
     pred_of: Vec<Option<usize>>,
@@ -380,23 +403,6 @@ struct LiveQuery {
     results: usize,
     all_correct: bool,
     first_result: Option<usize>,
-    cache_hit: bool,
-    subproblems: u64,
-    /// Per-mote batch precomputation (vectorized mode only).
-    pre: Vec<MotePre>,
-    /// Query signature (robust path; unused by the lossless loop).
-    sig: u64,
-    /// Absolute deadline epoch (scheduled admission + deadline).
-    deadline_at: Option<usize>,
-    /// Epoch `pre`'s arrays start at (re-set on drift readmission).
-    pre_base: usize,
-    /// Which motes physically hold the current plan. Empty on the
-    /// lossless path, where dissemination cannot fail.
-    mote_has: Vec<bool>,
-    /// The basestation's belief about `mote_has` — process memory,
-    /// wiped to all-false by a crash (which is what forces the
-    /// recovery re-dissemination).
-    bs_known: Vec<bool>,
     /// Passing tuples whose result packet timed out.
     lost_results: usize,
     /// Tuples discarded because their chain hit an aborted sensor.
@@ -404,11 +410,11 @@ struct LiveQuery {
     /// Mote-epochs this query could not execute (offline mote or plan
     /// not yet disseminated).
     missed_epochs: usize,
-    /// Delivered `(epoch, mote)` rows (robust path, opt-in).
+    /// Delivered `(epoch, mote)` rows (opt-in).
     rows: Vec<(usize, u16)>,
 }
 
-impl LiveQuery {
+impl Tally {
     /// Whether any tuple or result was lost — a window-end termination
     /// then reports [`QueryStatus::Partial`] instead of `Complete`.
     fn is_degraded(&self) -> bool {
@@ -452,7 +458,7 @@ impl ServeMetrics {
 }
 
 /// Pre-hoisted `verify.*` instruments (see `DESIGN.md` §8): the static
-/// plan-verification gates both service loops run in front of every
+/// plan-verification gates the service loop runs in front of every
 /// dissemination and every checkpoint restore.
 struct VerifyMetrics {
     checked: Counter,
@@ -503,403 +509,38 @@ impl VerifyMetrics {
     }
 }
 
-/// Runs `schedule` as a concurrent multi-query service over the fleet,
-/// losslessly, for `epochs` epochs. Plans come from `planner`; every
-/// admission is disseminated to the whole fleet (radio energy charged
-/// like the single-query engine's), every live query executes once per
+/// Runs `schedule` as a concurrent multi-query service over the fleet
+/// for `epochs` epochs. Plans come from `planner`; every admission is
+/// disseminated to the fleet (radio energy charged like the
+/// single-query engine's), every live query executes once per
 /// `(epoch, mote)` slot with acquisitions merged across queries, and
-/// every passing tuple transmits that query's result packet.
+/// every passing tuple transmits that query's result packet. On top of
+/// that, `opts` may:
 ///
-/// Returns one [`QueryOutcome`] per schedule entry, in schedule order.
-#[allow(clippy::too_many_arguments)]
-pub fn run_service(
-    schema: &Schema,
-    schedule: &[ScheduleEntry],
-    planner: &mut dyn ServePlanner,
-    motes: &mut [Mote],
-    model: &EnergyModel,
-    epochs: usize,
-    mode: ExecMode,
-    rec: &Recorder,
-) -> Result<ServiceReport> {
-    let span = rec.span("serve.run");
-    let flight = rec.flight().clone();
-    let start_seq = flight.emit(
-        0,
-        0,
-        "serve.start",
-        &[
-            ("queries", schedule.len().into()),
-            ("motes", motes.len().into()),
-            ("epochs", epochs.into()),
-        ],
-    );
-    let m = ServeMetrics::new(rec);
-    let vm = VerifyMetrics::new(rec);
-
-    // Outcomes in schedule order; entries admitted beyond the run keep
-    // their zeroed row with `admitted: false`.
-    let mut outcomes: Vec<QueryOutcome> = schedule
-        .iter()
-        .map(|s| QueryOutcome {
-            admitted: false,
-            admit: s.admit,
-            completed_at: s.admit,
-            tuples: 0,
-            results: 0,
-            all_correct: true,
-            cache_hit: false,
-            subproblems: 0,
-            latency_epochs: None,
-            invalidated: 0,
-            status: QueryStatus::Shed,
-            shed_at: None,
-            rows: Vec::new(),
-        })
-        .collect();
-
-    // Admission index: schedule entries by admission epoch, preserving
-    // schedule order within an epoch (the arbitration order).
-    let mut admissions_at: Vec<Vec<usize>> = vec![Vec::new(); epochs];
-    for (i, s) in schedule.iter().enumerate() {
-        if s.admit < epochs {
-            admissions_at[s.admit].push(i);
-        }
-    }
-
-    let mut live: Vec<LiveQuery> = Vec::new();
-    let mut scratch = SharedScratch::new(schema.len());
-    let mut slot_outs: Vec<ExecOutcome> = Vec::new();
-    let mut bs_tx_uj = 0.0;
-    let mut demanded = 0u64;
-    let mut performed = 0u64;
-    let mut exec = BatchExecutor::new();
-    let mut out = BatchOutcome::default();
-
-    for (e, admitted_now) in admissions_at.iter().enumerate() {
-        // 1. Admissions, in schedule order.
-        for &idx in admitted_now {
-            let entry = &schedule[idx];
-            let mut plan = planner.plan_admitted(&entry.query, e)?;
-            vm.admit(&mut plan, &entry.query, schema)?;
-            m.admitted.incr(1);
-            m.subproblems.incr(plan.subproblems);
-            if plan.cache_hit {
-                m.cache_hits.incr(1);
-            } else {
-                m.cache_misses.incr(1);
-            }
-            // Dissemination: every mote receives the plan, exactly like
-            // the single-query engine's lossless round.
-            for mote in motes.iter_mut() {
-                m.radio.incr(1);
-                mote.receive(plan.planned.wire.len(), model);
-                bs_tx_uj += (plan.planned.wire.len()) as f64 * model.radio_tx_uj_per_byte;
-            }
-            flight.emit(
-                e as u64,
-                start_seq,
-                "serve.admit",
-                &[
-                    ("query", idx.into()),
-                    ("cache_hit", plan.cache_hit.into()),
-                    ("subproblems", plan.subproblems.into()),
-                    ("wire_bytes", plan.planned.wire.len().into()),
-                ],
-            );
-            let mut pred_of: Vec<Option<usize>> = vec![None; schema.len()];
-            for (j, &a) in entry.query.attrs().iter().enumerate() {
-                pred_of[a] = Some(j);
-            }
-            let end = (entry.admit + entry.window.max(1)).min(epochs);
-            let pre = match mode {
-                ExecMode::Scalar => Vec::new(),
-                ExecMode::Vectorized => precompute_batches(
-                    &mut exec,
-                    &mut out,
-                    &plan.planned,
-                    &entry.query,
-                    schema,
-                    motes,
-                    entry.admit,
-                    end,
-                ),
-            };
-            outcomes[idx].admitted = true;
-            live.push(LiveQuery {
-                idx,
-                planned: plan.planned,
-                admit: entry.admit,
-                end,
-                uplink_bytes: result_packet_bytes(schema, &entry.query),
-                pred_of,
-                pend: vec![(0, 0); entry.query.len()],
-                tuples: 0,
-                results: 0,
-                all_correct: true,
-                first_result: None,
-                cache_hit: plan.cache_hit,
-                subproblems: plan.subproblems,
-                pre,
-                sig: 0,
-                deadline_at: None,
-                pre_base: entry.admit,
-                mote_has: Vec::new(),
-                bs_known: Vec::new(),
-                lost_results: 0,
-                aborted_tuples: 0,
-                missed_epochs: 0,
-                rows: Vec::new(),
-            });
-        }
-
-        // 2. One merged execution pass per mote, in index order. Phase
-        // A runs every live query against the shared source (charging
-        // sensing + board energy in first-demand order); phase B does
-        // per-query accounting and result uplinks once the metered
-        // source has released the mote.
-        for (mi, mote) in motes.iter_mut().enumerate() {
-            if live.is_empty() || e >= mote.epochs() {
-                continue;
-            }
-            scratch.reset();
-            match mode {
-                ExecMode::Scalar => {
-                    slot_outs.clear();
-                    {
-                        // One metered source per slot: its board
-                        // power-up state spans every query in the slot,
-                        // so a board powers up at most once per epoch
-                        // per mote no matter how many queries read it.
-                        let mut src = mote.epoch_source(e, schema, model);
-                        for q in live.iter() {
-                            let mut shared = SharedSource::new(&mut src, &mut scratch);
-                            // Admission verified the plan, so the
-                            // checked-free interpreter path is sound.
-                            let o = execute_wire_verified(
-                                &q.planned.wire,
-                                &schedule[q.idx].query,
-                                schema,
-                                &mut shared,
-                            );
-                            slot_outs.push(o);
-                        }
-                    }
-                    for (q, o) in live.iter_mut().zip(&slot_outs) {
-                        account_slot(
-                            q,
-                            &schedule[q.idx].query,
-                            mote,
-                            model,
-                            e,
-                            o.verdict,
-                            &o.acquired,
-                            &m,
-                        );
-                        demanded += o.acquired.len() as u64;
-                    }
-                }
-                ExecMode::Vectorized => {
-                    // Merge the precomputed per-query chains into one
-                    // deduplicated chain in first-demand order (the
-                    // exact order the scalar shared source acquires
-                    // in), then charge it once.
-                    let mut seen = 0u64;
-                    let mut merged: Vec<AttrId> = Vec::new();
-                    for q in live.iter_mut() {
-                        let off = e - q.admit;
-                        let (verdict, chain) = {
-                            let pre = &q.pre[mi];
-                            (pre.verdicts[off], pre.chains[off].clone())
-                        };
-                        for &a in &chain {
-                            let bit = 1u64 << a;
-                            if seen & bit == 0 {
-                                seen |= bit;
-                                merged.push(a);
-                            }
-                        }
-                        account_slot(
-                            q,
-                            &schedule[q.idx].query,
-                            mote,
-                            model,
-                            e,
-                            verdict,
-                            &chain,
-                            &m,
-                        );
-                        demanded += chain.len() as u64;
-                    }
-                    mote.charge_epoch(&merged, schema, model);
-                    m.performed.incr(merged.len() as u64);
-                    performed += merged.len() as u64;
-                }
-            }
-            if mode == ExecMode::Scalar {
-                m.performed.incr(scratch.acquired().len() as u64);
-                performed += scratch.acquired().len() as u64;
-            }
-        }
-
-        // 3. Completions: queries whose last live epoch was `e`.
-        let (done, rest): (Vec<LiveQuery>, Vec<LiveQuery>) =
-            live.into_iter().partition(|q| q.end == e + 1);
-        live = rest;
-        for q in done {
-            complete(q, e + 1, schedule, planner, &mut outcomes, &m, &flight, start_seq);
-        }
-    }
-    // `end` is clamped to `epochs`, so nothing should still be live
-    // here; drain defensively all the same.
-    for q in std::mem::take(&mut live) {
-        complete(q, epochs, schedule, planner, &mut outcomes, &m, &flight, start_seq);
-    }
-
-    rec.gauge("serve.stats_epoch", planner.stats_epoch() as f64);
-    let per_mote: Vec<EnergyLedger> = motes.iter().map(|mt| *mt.ledger()).collect();
-    if rec.enabled() {
-        for (mt, l) in motes.iter().zip(&per_mote) {
-            let id = mt.id();
-            rec.gauge(&format!("sensornet.mote{id}.sensing_uj"), l.sensing_uj);
-            rec.gauge(&format!("sensornet.mote{id}.radio_uj"), l.radio_tx_uj + l.radio_rx_uj);
-            rec.gauge(&format!("sensornet.mote{id}.total_uj"), l.total_uj());
-        }
-    }
-    let mut network = EnergyLedger::default();
-    for l in &per_mote {
-        network.absorb(l);
-    }
-    let report = ServiceReport {
-        epochs,
-        queries: outcomes,
-        network,
-        per_mote,
-        bs_tx_uj,
-        performed_acquisitions: performed,
-        demanded_acquisitions: demanded,
-        robustness: None,
-    };
-    flight.emit(
-        epochs as u64,
-        start_seq,
-        "serve.end",
-        &[
-            ("results", report.results().into()),
-            ("all_correct", report.all_correct().into()),
-            ("performed", performed.into()),
-            ("demanded", demanded.into()),
-        ],
-    );
-    drop(span);
-    Ok(report)
-}
-
-/// Per-query slot accounting shared by both exec modes: tuple/result
-/// counters, drift observations over the query's own acquisition
-/// chain, ground-truth verification and the result uplink.
-#[allow(clippy::too_many_arguments)]
-fn account_slot(
-    q: &mut LiveQuery,
-    query: &Query,
-    mote: &mut Mote,
-    model: &EnergyModel,
-    e: usize,
-    verdict: bool,
-    chain: &[AttrId],
-    m: &ServeMetrics,
-) {
-    q.tuples += 1;
-    m.tuples.incr(1);
-    m.demanded.incr(chain.len() as u64);
-    // Per-query drift observations use the query's own acquisition
-    // chain — identical to what an independent run would observe.
-    for &a in chain {
-        if let Some(j) = q.pred_of[a] {
-            q.pend[j].0 += 1;
-            q.pend[j].1 += u64::from(query.pred(j).eval(mote.peek(e, a)));
-        }
-    }
-    let truth = query.eval_with(|a| mote.peek(e, a));
-    q.all_correct &= verdict == truth;
-    if verdict {
-        q.results += 1;
-        m.results.incr(1);
-        q.first_result.get_or_insert(e);
-        mote.transmit(q.uplink_bytes, model);
-        m.radio.incr(1);
-    }
-}
-
-/// Finalizes one completed query: hands its drift counts to the
-/// planner, records its outcome row, and emits the completion event.
-#[allow(clippy::too_many_arguments)]
-fn complete(
-    q: LiveQuery,
-    at: usize,
-    schedule: &[ScheduleEntry],
-    planner: &mut dyn ServePlanner,
-    outcomes: &mut [QueryOutcome],
-    m: &ServeMetrics,
-    flight: &FlightRecorder,
-    start_seq: u64,
-) {
-    let invalidated = planner.query_completed(&schedule[q.idx].query, at, &q.pend);
-    m.completed.incr(1);
-    m.invalidations.incr(invalidated);
-    let latency = q.first_result.map(|f| (f - q.admit) as u64 + 1);
-    if let Some(l) = latency {
-        m.latency.observe(l);
-    }
-    let lat_field = latency.map(i64::try_from).and_then(std::result::Result::ok).unwrap_or(-1);
-    flight.emit(
-        at as u64,
-        start_seq,
-        "serve.complete",
-        &[
-            ("query", q.idx.into()),
-            ("results", q.results.into()),
-            ("latency", lat_field.into()),
-            ("invalidated", invalidated.into()),
-        ],
-    );
-    let o = &mut outcomes[q.idx];
-    o.completed_at = at;
-    o.tuples = q.tuples;
-    o.results = q.results;
-    o.all_correct = q.all_correct;
-    o.cache_hit = q.cache_hit;
-    o.subproblems = q.subproblems;
-    o.latency_epochs = latency;
-    o.invalidated = invalidated;
-    o.status = QueryStatus::Complete;
-}
-
-/// Runs `schedule` as a service with explicit [`ServiceOptions`]:
-/// seeded faults, crash recovery, admission control, deadlines.
-/// Transparent options (the default) take the exact [`run_service`]
-/// code path — a `--loss-rate 0` run without crashes or policy is
-/// bitwise identical to the lossless service. Anything else runs the
-/// fault-tolerant loop, which:
-///
-/// - pushes every dissemination and result packet through the bounded
+/// - push every dissemination and result packet through the bounded
 ///   retry + backoff of [`attempt_packet`], charging each attempt;
-/// - wraps sensing in [`FaultySource`] so failed reads retry and
+/// - wrap sensing in [`FaultySource`] so failed reads retry and
 ///   exhausted reads abort only the tuples whose chains touched them;
-/// - applies the [`ServicePolicy`] in schedule order: per-epoch budget
+/// - apply the [`ServicePolicy`] in schedule order: per-epoch budget
 ///   admission with a fairness bound, queue-age and deadline shedding;
-/// - degrades gracefully: deadline crossings yield a typed
+/// - degrade gracefully: deadline crossings yield a typed
 ///   [`QueryStatus::TimedOut`] outcome with the rows delivered so far,
 ///   lossy windows end as [`QueryStatus::Partial`];
-/// - journals admissions/completions/epochs to the WAL and snapshots
+/// - journal admissions/completions/epochs to the WAL and snapshot
 ///   serve state on the checkpoint cadence, so an injected basestation
 ///   crash recovers the plan cache, stats epoch and live-query
 ///   progress instead of cold-starting.
+///
+/// With [`ServiceOptions::default`] none of that can fire: every packet
+/// lands on its first attempt and every read succeeds, so the run is
+/// the lossless service.
 ///
 /// The vectorized executor precomputes verdicts from admission-time
 /// plans, which is incompatible with lossy sensing and crash-induced
 /// replans — `ExecMode::Vectorized` is rejected unless the fault model
 /// is lossless and crashes are disabled.
+///
+/// Returns one [`QueryOutcome`] per schedule entry, in schedule order.
 #[allow(clippy::too_many_arguments)]
 pub fn run_service_with(
     schema: &Schema,
@@ -913,9 +554,6 @@ pub fn run_service_with(
     opts: &ServiceOptions,
 ) -> Result<ServiceReport> {
     opts.policy.validate()?;
-    if opts.is_transparent(schedule) {
-        return run_service(schema, schedule, planner, motes, model, epochs, mode, rec);
-    }
     if mode == ExecMode::Vectorized && (!opts.faults.is_lossless() || opts.crash.is_active()) {
         return Err(Error::InvalidFlag {
             flag: "exec".into(),
@@ -937,6 +575,7 @@ pub fn run_service_with(
         ],
     );
     let cr = CrashRuntime::new(&opts.crash, rec).map_err(core_err)?;
+    // Entries that are never admitted keep their pending row.
     let outcomes: Vec<QueryOutcome> = schedule
         .iter()
         .map(|s| QueryOutcome {
@@ -955,14 +594,15 @@ pub fn run_service_with(
             rows: Vec::new(),
         })
         .collect();
+    // Arrivals by admission epoch, preserving schedule order within an
+    // epoch (the arbitration order).
     let mut arrivals: Vec<Vec<usize>> = vec![Vec::new(); epochs];
     for (i, s) in schedule.iter().enumerate() {
         if s.admit < epochs {
             arrivals[s.admit].push(i);
         }
     }
-    let scratch = SharedScratch::new(schema.len());
-    let engine = RobustEngine {
+    let engine = ServeEngine {
         schema,
         schedule,
         planner,
@@ -983,7 +623,9 @@ pub fn run_service_with(
         arrivals,
         live: Vec::new(),
         queue: Vec::new(),
-        scratch,
+        scratch: SharedScratch::new(schema.len()),
+        slot_outs: Vec::new(),
+        merged: Vec::new(),
         exec: BatchExecutor::new(),
         out: BatchOutcome::default(),
         bs_tx_uj: 0.0,
@@ -996,10 +638,9 @@ pub fn run_service_with(
     Ok(report)
 }
 
-/// Robust-path instruments (`serve.shed.*`, `serve.degraded.*`,
-/// `serve.readmit.*`), registered only when the robust loop actually
-/// runs so a lossless run's metrics snapshot stays byte-identical to
-/// the pre-fault service.
+/// Fault, shed and degradation instruments (`serve.shed.*`,
+/// `serve.degraded.*`, `serve.readmit.*`). Registered on every run; a
+/// default run leaves them at zero.
 struct RobustMetrics {
     /// `serve.shed.queries` — queries dropped by admission control.
     shed: Counter,
@@ -1056,9 +697,9 @@ struct Pending {
     plan: Option<AdmittedPlan>,
 }
 
-/// The fault-tolerant service loop. One instance per
-/// [`run_service_with`] call on the robust path.
-struct RobustEngine<'a> {
+/// The service's epoch loop. One instance per [`run_service_with`]
+/// call.
+struct ServeEngine<'a> {
     schema: &'a Schema,
     schedule: &'a [ScheduleEntry],
     planner: &'a mut dyn ServePlanner,
@@ -1082,6 +723,11 @@ struct RobustEngine<'a> {
     /// Admission queue, in schedule order.
     queue: Vec<Pending>,
     scratch: SharedScratch,
+    /// Per-slot buffers, reused across slots: the scalar outcomes of
+    /// the live queries whose plan the mote holds, in live order, and
+    /// the vectorized merged chain.
+    slot_outs: Vec<ExecOutcome>,
+    merged: Vec<AttrId>,
     exec: BatchExecutor,
     out: BatchOutcome,
     bs_tx_uj: f64,
@@ -1090,7 +736,20 @@ struct RobustEngine<'a> {
     rob: ServeRobustReport,
 }
 
-impl RobustEngine<'_> {
+/// The run-wide configuration and instruments one slot's accounting
+/// reads.
+struct SlotEnv<'a> {
+    model: &'a EnergyModel,
+    faults: &'a FaultModel,
+    collect_rows: bool,
+    m: &'a ServeMetrics,
+    rm: &'a RobustMetrics,
+    fstats: &'a FaultStats,
+    flight: &'a FlightRecorder,
+    start_seq: u64,
+}
+
+impl ServeEngine<'_> {
     fn run(mut self) -> Result<ServiceReport> {
         let epochs = self.epochs;
         for e in 0..epochs {
@@ -1115,8 +774,7 @@ impl RobustEngine<'_> {
         // `end` is clamped to `epochs`, so nothing should still be
         // live here; drain defensively all the same.
         for q in std::mem::take(&mut self.live) {
-            let status = if q.is_degraded() { QueryStatus::Partial } else { QueryStatus::Complete };
-            self.finish(q, epochs, status);
+            self.finish(q, epochs, false);
         }
         if let Some(err) = self.cr.take_error() {
             return Err(core_err(err));
@@ -1214,15 +872,17 @@ impl RobustEngine<'_> {
                 // restart does not rewrite them.)
                 for q in self.live.iter_mut() {
                     match cp.live.iter().find(|l| l.idx == q.idx as u64) {
-                        Some(l) if l.pend.len() == q.pend.len() => q.pend = l.pend.clone(),
-                        _ => q.pend.iter_mut().for_each(|p| *p = (0, 0)),
+                        Some(l) if l.pend.len() == q.tally.pend.len() => {
+                            q.tally.pend = l.pend.clone()
+                        }
+                        _ => q.tally.pend.iter_mut().for_each(|p| *p = (0, 0)),
                     }
                 }
             }
             None => {
                 self.planner.restore_policy_state(None);
                 for q in self.live.iter_mut() {
-                    q.pend.iter_mut().for_each(|p| *p = (0, 0));
+                    q.tally.pend.iter_mut().for_each(|p| *p = (0, 0));
                 }
             }
         }
@@ -1279,7 +939,7 @@ impl RobustEngine<'_> {
     /// run, and admits from the queue in schedule order under the
     /// policy's budget and fairness rules.
     fn admissions(&mut self, e: usize) -> Result<()> {
-        for idx in self.arrivals[e].clone() {
+        for idx in std::mem::take(&mut self.arrivals[e]) {
             let sig = self.schedule[idx].query.signature();
             self.queue.push(Pending { idx, sig, plan: None });
         }
@@ -1333,17 +993,7 @@ impl RobustEngine<'_> {
             }
             let plan = match p.plan.take() {
                 Some(plan) => plan,
-                None => {
-                    let mut plan = self.planner.plan_admitted(&self.schedule[p.idx].query, e)?;
-                    self.vm.admit(&mut plan, &self.schedule[p.idx].query, self.schema)?;
-                    self.m.subproblems.incr(plan.subproblems);
-                    if plan.cache_hit {
-                        self.m.cache_hits.incr(1);
-                    } else {
-                        self.m.cache_misses.incr(1);
-                    }
-                    plan
-                }
+                None => self.plan(p.idx, e)?,
             };
             if let Some(b) = budget {
                 let cost = plan.planned.expected_cost;
@@ -1363,6 +1013,52 @@ impl RobustEngine<'_> {
         }
         self.queue = deferred;
         Ok(())
+    }
+
+    /// Plans schedule entry `idx` at epoch `e` through the policy,
+    /// gates the plan with the verifier, and counts the search.
+    fn plan(&mut self, idx: usize, e: usize) -> Result<AdmittedPlan> {
+        let query = &self.schedule[idx].query;
+        let mut plan = self.planner.plan_admitted(query, e)?;
+        self.vm.admit(&mut plan, query, self.schema)?;
+        self.m.subproblems.incr(plan.subproblems);
+        if plan.cache_hit {
+            self.m.cache_hits.incr(1);
+        } else {
+            self.m.cache_misses.incr(1);
+        }
+        Ok(plan)
+    }
+
+    /// The vectorized-mode precomputation of `planned` for entry `idx`
+    /// over epochs `from..end`; `None` in scalar mode.
+    fn batch(
+        &mut self,
+        planned: &PlannedQuery,
+        idx: usize,
+        from: usize,
+        end: usize,
+    ) -> Option<Box<Batched>> {
+        match self.mode {
+            ExecMode::Scalar => None,
+            ExecMode::Vectorized => Some(Box::new(precompute_batches(
+                &mut self.exec,
+                &mut self.out,
+                planned,
+                &self.schedule[idx].query,
+                self.schema,
+                self.motes,
+                from,
+                end,
+            ))),
+        }
+    }
+
+    /// Appends `record` to the WAL when the run journals.
+    fn journal(&mut self, record: &WalRecord) {
+        if let Some(j) = self.cr.journal.as_mut() {
+            j.append(record);
+        }
     }
 
     /// Admits one entry at epoch `e`: counters, fleet dissemination
@@ -1398,41 +1094,18 @@ impl RobustEngine<'_> {
                 ("wire_bytes", wire_len.into()),
             ],
         );
-        if let Some(j) = self.cr.journal.as_mut() {
-            j.append(&WalRecord::ServeAdmit {
-                idx: idx as u64,
-                epoch: e as u64,
-                sig,
-                cache_hit: plan.cache_hit,
-            });
-        }
+        self.journal(&WalRecord::ServeAdmit {
+            idx: idx as u64,
+            epoch: e as u64,
+            sig,
+            cache_hit: plan.cache_hit,
+        });
         let mut pred_of: Vec<Option<usize>> = vec![None; self.schema.len()];
         for (j, &a) in entry.query.attrs().iter().enumerate() {
             pred_of[a] = Some(j);
         }
         let end = (e + entry.window.max(1)).min(self.epochs);
-        let pre = match self.mode {
-            ExecMode::Scalar => Vec::new(),
-            ExecMode::Vectorized => precompute_batches(
-                &mut self.exec,
-                &mut self.out,
-                &plan.planned,
-                &entry.query,
-                self.schema,
-                self.motes,
-                e,
-                end,
-            ),
-        };
-        let o = &mut self.outcomes[idx];
-        o.admitted = true;
-        o.admit = e;
-        let bs_known = mote_has.clone();
-        self.live.push(LiveQuery {
-            idx,
-            planned: plan.planned,
-            admit: e,
-            end,
+        let tally = Tally {
             uplink_bytes: result_packet_bytes(self.schema, &entry.query),
             pred_of,
             pend: vec![(0, 0); entry.query.len()],
@@ -1440,51 +1113,71 @@ impl RobustEngine<'_> {
             results: 0,
             all_correct: true,
             first_result: None,
-            cache_hit: plan.cache_hit,
-            subproblems: plan.subproblems,
-            pre,
-            sig,
-            deadline_at: entry.deadline.map(|d| entry.admit + d),
-            pre_base: e,
-            mote_has,
-            bs_known,
             lost_results: 0,
             aborted_tuples: 0,
             missed_epochs: 0,
             rows: Vec::new(),
+        };
+        let deadline_at = entry.deadline.map(|d| entry.admit + d);
+        let batched = self.batch(&plan.planned, idx, e, end);
+        self.live.push(LiveQuery {
+            idx,
+            sig,
+            planned: plan.planned,
+            admit: e,
+            end,
+            deadline_at,
+            cache_hit: plan.cache_hit,
+            subproblems: plan.subproblems,
+            batched,
+            bs_known: mote_has.clone(),
+            mote_has,
+            tally,
         });
     }
 
-    /// One merged execution pass per mote, in index order — the
-    /// lossless slot discipline plus dropouts, sensing retries and
-    /// result-uplink retries.
+    /// One merged execution pass per mote, in index order. Every live
+    /// query runs against the slot's shared source (charging sensing +
+    /// board energy in first-demand order); per-query accounting and
+    /// result uplinks follow once the metered source has released the
+    /// mote. Offline motes and motes still missing a plan count as
+    /// missed epochs.
     fn exec_motes(&mut self, e: usize) {
         if self.live.is_empty() {
             return;
         }
-        let mode = self.mode;
         let Self {
             schema,
             schedule,
             motes,
             model,
+            mode,
             opts,
             m,
             rm,
             fstats,
             flight,
+            start_seq,
             live,
             scratch,
+            slot_outs,
+            merged,
             rob,
             demanded,
             performed,
-            start_seq,
             ..
         } = self;
         let faults = &opts.faults;
-        let collect_rows = opts.collect_rows;
-        let mut slot_outs: Vec<ExecOutcome> = Vec::new();
-        let mut execd: Vec<usize> = Vec::new();
+        let env = SlotEnv {
+            model,
+            faults,
+            collect_rows: opts.collect_rows,
+            m,
+            rm,
+            fstats,
+            flight,
+            start_seq: *start_seq,
+        };
         for (mi, mote) in motes.iter_mut().enumerate() {
             if e >= mote.epochs() {
                 continue;
@@ -1494,16 +1187,19 @@ impl RobustEngine<'_> {
                 fstats.offline_epochs.incr(1);
                 rob.offline_epochs += 1;
                 for q in live.iter_mut() {
-                    q.missed_epochs += 1;
+                    q.tally.missed_epochs += 1;
                 }
                 continue;
             }
             scratch.reset();
-            match mode {
+            let reads = match mode {
                 ExecMode::Scalar => {
                     slot_outs.clear();
-                    execd.clear();
                     let aborted_mask = {
+                        // One metered source per slot: its board
+                        // power-up state spans every query in the slot,
+                        // so a board powers up at most once per epoch
+                        // per mote no matter how many queries read it.
                         let mut src = FaultySource::new(
                             mote.epoch_source(e, schema, model),
                             faults,
@@ -1511,128 +1207,103 @@ impl RobustEngine<'_> {
                             id,
                             e,
                         );
-                        for (qi, q) in live.iter().enumerate() {
-                            if !q.mote_has[mi] {
-                                continue;
-                            }
-                            execd.push(qi);
+                        for q in live.iter().filter(|q| q.mote_has[mi]) {
                             let mut shared = SharedSource::new(&mut src, scratch);
                             // Every plan that reaches a live query was
                             // verified at admission (or at checkpoint
                             // restore), so the checked-free interpreter
                             // path is sound.
-                            let o = execute_wire_verified(
+                            slot_outs.push(execute_wire_verified(
                                 &q.planned.wire,
                                 &schedule[q.idx].query,
                                 schema,
                                 &mut shared,
-                            );
-                            slot_outs.push(o);
+                            ));
                         }
                         src.aborted_mask()
                     };
-                    for (&qi, o) in execd.iter().zip(&slot_outs) {
-                        let q = &mut live[qi];
-                        account_slot_robust(
-                            q,
-                            &schedule[q.idx].query,
+                    let holders = live.iter_mut().filter(|q| q.mote_has[mi]);
+                    for (q, o) in holders.zip(slot_outs.iter()) {
+                        let query = &schedule[q.idx].query;
+                        account_slot(
+                            &mut q.tally,
+                            query,
                             mote,
-                            model,
                             e,
                             o.verdict,
                             &o.acquired,
                             aborted_mask,
-                            m,
-                            rm,
-                            faults,
-                            fstats,
-                            flight,
-                            *start_seq,
-                            collect_rows,
-                            rob,
+                            &env,
                         );
                         *demanded += o.acquired.len() as u64;
                     }
-                    for q in live.iter_mut() {
-                        if !q.mote_has[mi] {
-                            q.missed_epochs += 1;
-                        }
+                    for q in live.iter_mut().filter(|q| !q.mote_has[mi]) {
+                        q.tally.missed_epochs += 1;
                     }
-                    m.performed.incr(scratch.acquired().len() as u64);
-                    *performed += scratch.acquired().len() as u64;
+                    scratch.acquired().len()
                 }
                 ExecMode::Vectorized => {
-                    // Lossless faults are a precondition for this mode,
+                    // Lossless faults are a precondition of this mode,
                     // so every mote holds every plan and nothing can
-                    // abort — the merge is the lossless loop's.
+                    // abort. Merge the precomputed per-query chains
+                    // into one deduplicated chain in first-demand order
+                    // (the exact order the scalar shared source
+                    // acquires in), then charge it once.
                     let mut seen = 0u64;
-                    let mut merged: Vec<AttrId> = Vec::new();
+                    merged.clear();
                     for q in live.iter_mut() {
-                        let off = e - q.pre_base;
-                        let (verdict, chain) = {
-                            let pre = &q.pre[mi];
-                            (pre.verdicts[off], pre.chains[off].clone())
-                        };
-                        for &a in &chain {
+                        // Admission precomputes every query in this mode.
+                        let Some(b) = &q.batched else { continue };
+                        let off = e - b.base;
+                        let pre = &b.motes[mi];
+                        let (start, len) = pre.chains[off];
+                        let chain = b.prepared.chain(start, len);
+                        for &a in chain {
                             let bit = 1u64 << a;
                             if seen & bit == 0 {
                                 seen |= bit;
                                 merged.push(a);
                             }
                         }
-                        account_slot_robust(
-                            q,
-                            &schedule[q.idx].query,
+                        let query = &schedule[q.idx].query;
+                        account_slot(
+                            &mut q.tally,
+                            query,
                             mote,
-                            model,
                             e,
-                            verdict,
-                            &chain,
+                            pre.verdicts[off],
+                            chain,
                             0,
-                            m,
-                            rm,
-                            faults,
-                            fstats,
-                            flight,
-                            *start_seq,
-                            collect_rows,
-                            rob,
+                            &env,
                         );
                         *demanded += chain.len() as u64;
                     }
-                    mote.charge_epoch(&merged, schema, model);
-                    m.performed.incr(merged.len() as u64);
-                    *performed += merged.len() as u64;
+                    mote.charge_epoch(merged, schema, model);
+                    merged.len()
                 }
-            }
+            };
+            m.performed.incr(reads as u64);
+            *performed += reads as u64;
         }
     }
 
     /// Window-end and deadline terminations, then (when enabled) drift
     /// readmission of the surviving live queries.
     fn terminations(&mut self, e: usize) -> Result<()> {
-        let live = std::mem::take(&mut self.live);
-        let mut rest = Vec::with_capacity(live.len());
+        // Terminating queries leave `live` in place; the survivors keep
+        // their order (the arbitration order) and are not moved.
         let mut invalidated_total = 0u64;
-        for q in live {
+        let mut i = 0;
+        while i < self.live.len() {
+            let q = &self.live[i];
             let due_window = q.end == e + 1;
-            let due_deadline = q.deadline_at.is_some_and(|d| e + 1 >= d);
-            if !(due_window || due_deadline) {
-                rest.push(q);
-                continue;
-            }
-            let status = if due_window {
-                if q.is_degraded() {
-                    QueryStatus::Partial
-                } else {
-                    QueryStatus::Complete
-                }
+            if due_window || q.deadline_at.is_some_and(|d| e + 1 >= d) {
+                let q = self.live.remove(i);
+                invalidated_total += self.finish(q, e + 1, !due_window);
             } else {
-                QueryStatus::TimedOut
-            };
-            invalidated_total += self.finish(q, e + 1, status);
+                i += 1;
+            }
         }
-        self.live = rest;
         if invalidated_total > 0 {
             // Plans staged for queued entries were built against the
             // invalidated statistics; drop them so admission re-plans.
@@ -1646,36 +1317,45 @@ impl RobustEngine<'_> {
         Ok(())
     }
 
-    /// Finalizes one terminated query with a typed status. Returns how
-    /// many cached plans its completion stats invalidated.
-    fn finish(&mut self, q: LiveQuery, at: usize, status: QueryStatus) -> u64 {
-        let query = &self.schedule[q.idx].query;
-        let invalidated = self.planner.query_completed(query, at, &q.pend);
+    /// Finalizes one terminated query: a deadline crossing
+    /// (`timed_out`) is [`QueryStatus::TimedOut`], a window end is
+    /// `Complete`, or `Partial` when the query lost tuples or results.
+    /// Hands the drift counts to the planner, records the outcome row
+    /// and returns how many cached plans the completion invalidated.
+    fn finish(&mut self, q: LiveQuery, at: usize, timed_out: bool) -> u64 {
+        let t = q.tally;
+        let status = if timed_out {
+            QueryStatus::TimedOut
+        } else if t.is_degraded() {
+            QueryStatus::Partial
+        } else {
+            QueryStatus::Complete
+        };
+        let invalidated = self.planner.query_completed(&self.schedule[q.idx].query, at, &t.pend);
         self.m.invalidations.incr(invalidated);
-        let latency = q.first_result.map(|f| (f - q.admit) as u64 + 1);
-        match status {
-            QueryStatus::Complete | QueryStatus::Partial => {
-                self.m.completed.incr(1);
-                if let Some(l) = latency {
-                    self.m.latency.observe(l);
-                }
-                if status == QueryStatus::Partial {
-                    self.rm.partial.incr(1);
-                }
+        let latency = t.first_result.map(|f| (f - q.admit) as u64 + 1);
+        if timed_out {
+            self.rm.timeouts.incr(1);
+            self.rob.timed_out += 1;
+            self.rm.degraded_latency.observe((at - q.admit) as u64);
+            self.flight.emit(
+                at as u64,
+                self.start_seq,
+                "serve.timeout",
+                &[("query", q.idx.into()), ("results", t.results.into())],
+            );
+        } else {
+            self.m.completed.incr(1);
+            if let Some(l) = latency {
+                self.m.latency.observe(l);
             }
-            QueryStatus::TimedOut => {
-                self.rm.timeouts.incr(1);
-                self.rob.timed_out += 1;
-                self.rm.degraded_latency.observe((at - q.admit) as u64);
-                self.flight.emit(
-                    at as u64,
-                    self.start_seq,
-                    "serve.timeout",
-                    &[("query", q.idx.into()), ("results", q.results.into())],
-                );
+            if status == QueryStatus::Partial {
+                self.rm.partial.incr(1);
             }
-            QueryStatus::Shed => unreachable!("shed queries never reach finish"),
         }
+        self.rob.delivered_results += t.results - t.lost_results;
+        self.rob.lost_results += t.lost_results;
+        self.rob.aborted_tuples += t.aborted_tuples;
         let lat_field = latency.map(i64::try_from).and_then(std::result::Result::ok).unwrap_or(-1);
         self.flight.emit(
             at as u64,
@@ -1683,30 +1363,32 @@ impl RobustEngine<'_> {
             "serve.complete",
             &[
                 ("query", q.idx.into()),
-                ("results", q.results.into()),
+                ("results", t.results.into()),
                 ("latency", lat_field.into()),
                 ("invalidated", invalidated.into()),
                 ("status", status.label().into()),
             ],
         );
-        if let Some(j) = self.cr.journal.as_mut() {
-            j.append(&WalRecord::ServeComplete {
-                idx: q.idx as u64,
-                epoch: at as u64,
-                status: status.to_u8(),
-            });
-        }
-        let o = &mut self.outcomes[q.idx];
-        o.completed_at = at;
-        o.tuples = q.tuples;
-        o.results = q.results;
-        o.all_correct = q.all_correct;
-        o.cache_hit = q.cache_hit;
-        o.subproblems = q.subproblems;
-        o.latency_epochs = latency;
-        o.invalidated = invalidated;
-        o.status = status;
-        o.rows = q.rows;
+        self.journal(&WalRecord::ServeComplete {
+            idx: q.idx as u64,
+            epoch: at as u64,
+            status: status.to_u8(),
+        });
+        self.outcomes[q.idx] = QueryOutcome {
+            admitted: true,
+            admit: q.admit,
+            completed_at: at,
+            tuples: t.tuples,
+            results: t.results,
+            all_correct: t.all_correct,
+            cache_hit: q.cache_hit,
+            subproblems: q.subproblems,
+            latency_epochs: latency,
+            invalidated,
+            status,
+            shed_at: None,
+            rows: t.rows,
+        };
         invalidated
     }
 
@@ -1717,15 +1399,8 @@ impl RobustEngine<'_> {
     /// no query is dropped by the invalidation.
     fn readmit(&mut self, e: usize) -> Result<()> {
         for qi in 0..self.live.len() {
-            let (idx, sig) = (self.live[qi].idx, self.live[qi].sig);
-            let mut plan = self.planner.plan_admitted(&self.schedule[idx].query, e + 1)?;
-            self.vm.admit(&mut plan, &self.schedule[idx].query, self.schema)?;
-            self.m.subproblems.incr(plan.subproblems);
-            if plan.cache_hit {
-                self.m.cache_hits.incr(1);
-            } else {
-                self.m.cache_misses.incr(1);
-            }
+            let (idx, sig, end) = (self.live[qi].idx, self.live[qi].sig, self.live[qi].end);
+            let plan = self.plan(idx, e + 1)?;
             self.rm.readmitted.incr(1);
             self.rob.readmissions += 1;
             self.flight.emit(
@@ -1738,34 +1413,18 @@ impl RobustEngine<'_> {
                     ("subproblems", plan.subproblems.into()),
                 ],
             );
-            if let Some(j) = self.cr.journal.as_mut() {
-                j.append(&WalRecord::ServeAdmit {
-                    idx: idx as u64,
-                    epoch: (e + 1) as u64,
-                    sig,
-                    cache_hit: plan.cache_hit,
-                });
-            }
-            let end = self.live[qi].end;
-            let pre = match self.mode {
-                ExecMode::Scalar => Vec::new(),
-                ExecMode::Vectorized => precompute_batches(
-                    &mut self.exec,
-                    &mut self.out,
-                    &plan.planned,
-                    &self.schedule[idx].query,
-                    self.schema,
-                    self.motes,
-                    e + 1,
-                    end,
-                ),
-            };
+            self.journal(&WalRecord::ServeAdmit {
+                idx: idx as u64,
+                epoch: (e + 1) as u64,
+                sig,
+                cache_hit: plan.cache_hit,
+            });
+            let batched = self.batch(&plan.planned, idx, e + 1, end);
             let q = &mut self.live[qi];
             q.planned = plan.planned;
-            q.pre = pre;
-            q.pre_base = e + 1;
-            q.mote_has.iter_mut().for_each(|h| *h = false);
-            q.bs_known.iter_mut().for_each(|h| *h = false);
+            q.batched = batched;
+            q.mote_has.fill(false);
+            q.bs_known.fill(false);
         }
         Ok(())
     }
@@ -1773,10 +1432,9 @@ impl RobustEngine<'_> {
     /// Sheds one queued entry at epoch `e`: typed outcome, degraded
     /// latency observation, WAL record.
     fn shed(&mut self, idx: usize, e: usize) {
-        let s = &self.schedule[idx];
         self.rm.shed.incr(1);
         self.rob.shed += 1;
-        let waited = (e - s.admit) as u64;
+        let waited = (e - self.schedule[idx].admit) as u64;
         self.rm.degraded_latency.observe(waited);
         self.flight.emit(
             e as u64,
@@ -1784,13 +1442,11 @@ impl RobustEngine<'_> {
             "serve.shed",
             &[("query", idx.into()), ("waited", waited.into())],
         );
-        if let Some(j) = self.cr.journal.as_mut() {
-            j.append(&WalRecord::ServeComplete {
-                idx: idx as u64,
-                epoch: e as u64,
-                status: QueryStatus::Shed.to_u8(),
-            });
-        }
+        self.journal(&WalRecord::ServeComplete {
+            idx: idx as u64,
+            epoch: e as u64,
+            status: QueryStatus::Shed.to_u8(),
+        });
         let o = &mut self.outcomes[idx];
         o.status = QueryStatus::Shed;
         o.shed_at = Some(e);
@@ -1837,7 +1493,7 @@ impl RobustEngine<'_> {
                 idx: q.idx as u64,
                 admit: q.admit as u64,
                 end: q.end as u64,
-                pend: q.pend.clone(),
+                pend: q.tally.pend.clone(),
             })
             .collect();
         let cp = ServeCheckpoint {
@@ -1908,76 +1564,67 @@ impl RobustEngine<'_> {
     }
 }
 
-/// The robust twin of [`account_slot`]: the same per-query accounting
-/// plus sensing-abort discards and the result-uplink retry loop. At a
-/// lossless fault model every branch reduces to the lossless path's
-/// exact `f64` operations.
+/// Per-query slot accounting shared by both exec modes: tuple/result
+/// counters, sensing-abort discards, drift observations over the
+/// query's own acquisition chain, ground-truth verification and the
+/// result uplink through the retry loop. At a lossless fault model the
+/// uplink is one delivered attempt, the same `f64` charge as a plain
+/// transmit.
 #[allow(clippy::too_many_arguments)]
-fn account_slot_robust(
-    q: &mut LiveQuery,
+fn account_slot(
+    t: &mut Tally,
     query: &Query,
     mote: &mut Mote,
-    model: &EnergyModel,
     e: usize,
     verdict: bool,
     chain: &[AttrId],
     aborted_mask: u64,
-    m: &ServeMetrics,
-    rm: &RobustMetrics,
-    faults: &FaultModel,
-    fstats: &FaultStats,
-    flight: &FlightRecorder,
-    start_seq: u64,
-    collect_rows: bool,
-    rob: &mut ServeRobustReport,
+    env: &SlotEnv<'_>,
 ) {
-    q.tuples += 1;
-    m.tuples.incr(1);
-    m.demanded.incr(chain.len() as u64);
+    t.tuples += 1;
+    env.m.tuples.incr(1);
+    env.m.demanded.incr(chain.len() as u64);
     if aborted_mask != 0 {
         let mask = chain.iter().fold(0u64, |acc, &a| acc | (1u64 << (a as u32).min(63)));
         if mask & aborted_mask != 0 {
             // A sensor this tuple's own chain touched could not be read
             // within the attempt cap: discard the tuple. Queries that
             // never demanded the failed sensor keep their epoch.
-            q.aborted_tuples += 1;
-            rm.aborted.incr(1);
-            rob.aborted_tuples += 1;
+            t.aborted_tuples += 1;
+            env.rm.aborted.incr(1);
             return;
         }
     }
+    // Per-query drift observations use the query's own acquisition
+    // chain — identical to what an independent run would observe.
     for &a in chain {
-        if let Some(j) = q.pred_of[a] {
-            q.pend[j].0 += 1;
-            q.pend[j].1 += u64::from(query.pred(j).eval(mote.peek(e, a)));
+        if let Some(j) = t.pred_of[a] {
+            t.pend[j].0 += 1;
+            t.pend[j].1 += u64::from(query.pred(j).eval(mote.peek(e, a)));
         }
     }
     let truth = query.eval_with(|a| mote.peek(e, a));
-    q.all_correct &= verdict == truth;
+    t.all_correct &= verdict == truth;
     if verdict {
-        q.results += 1;
-        m.results.incr(1);
-        q.first_result.get_or_insert(e);
-        let d = attempt_packet(faults, FaultStream::Result, mote.id(), e, fstats);
-        emit_retry(flight, start_seq, e, "result", mote.id(), &d);
-        mote.transmit(d.attempts as usize * q.uplink_bytes, model);
-        m.radio.incr(d.attempts as u64);
-        if d.delivered {
-            rob.delivered_results += 1;
-            if collect_rows {
-                q.rows.push((e, mote.id()));
-            }
-        } else {
-            q.lost_results += 1;
-            rm.lost_results.incr(1);
-            rob.lost_results += 1;
+        t.results += 1;
+        env.m.results.incr(1);
+        t.first_result.get_or_insert(e);
+        let d = attempt_packet(env.faults, FaultStream::Result, mote.id(), e, env.fstats);
+        emit_retry(env.flight, env.start_seq, e, "result", mote.id(), &d);
+        mote.transmit(d.attempts as usize * t.uplink_bytes, env.model);
+        env.m.radio.incr(d.attempts as u64);
+        if !d.delivered {
+            t.lost_results += 1;
+            env.rm.lost_results.incr(1);
+        } else if env.collect_rows {
+            t.rows.push((e, mote.id()));
         }
     }
 }
 
 /// Vectorized-mode admission work: runs the batch executor over each
-/// mote's trace window and stores per-epoch verdicts and owned
-/// acquisition chains for the epoch loop to merge.
+/// mote's trace window over epochs `from..end` and stores per-epoch
+/// verdicts and chain spans for the epoch loop to merge.
 #[allow(clippy::too_many_arguments)]
 fn precompute_batches(
     exec: &mut BatchExecutor,
@@ -1986,30 +1633,31 @@ fn precompute_batches(
     query: &Query,
     schema: &Schema,
     motes: &[Mote],
-    admit: usize,
+    from: usize,
     end: usize,
-) -> Vec<MotePre> {
+) -> Batched {
     let prepared = PreparedPlan::new(&planned.plan, query, schema, &CostModel::PerAttribute);
-    motes
+    let motes = motes
         .iter()
         .map(|mote| {
             let stop = end.min(mote.epochs());
-            let mut verdicts = Vec::new();
-            let mut chains = Vec::new();
-            let mut start = admit;
+            let mut verdicts = Vec::with_capacity(stop.saturating_sub(from));
+            let mut chains = Vec::with_capacity(stop.saturating_sub(from));
+            let mut start = from;
             while start < stop {
                 let len = BATCH_ROWS.min(stop - start);
                 let batch = ColumnBatch::slice(mote.trace(), start, len);
                 exec.execute_batch(&prepared, &batch, None, out);
                 for slot in 0..len {
                     verdicts.push(out.verdict(slot));
-                    chains.push(out.acquired(&prepared, slot).to_vec());
+                    chains.push(out.chain_span(slot));
                 }
                 start += len;
             }
             MotePre { verdicts, chains }
         })
-        .collect()
+        .collect();
+    Batched { prepared, base: from, motes }
 }
 
 #[cfg(test)]
@@ -2061,6 +1709,35 @@ mod tests {
         (schema, data, query)
     }
 
+    /// Serves `schedule` for `epochs` epochs on a fresh `motes`-mote
+    /// fleet with a fresh [`PlainPlanner`] and a disabled recorder.
+    fn serve(
+        schema: &Schema,
+        data: &Dataset,
+        schedule: &[ScheduleEntry],
+        motes: u16,
+        epochs: usize,
+        mode: ExecMode,
+        opts: &ServiceOptions,
+    ) -> ServiceReport {
+        let mut planner = PlainPlanner { bs: Basestation::new(schema.clone(), data), alpha: 0.01 };
+        let mut fleet = fleet_from_trace(data, motes);
+        let model = EnergyModel::mica_like();
+        let rec = Recorder::disabled();
+        run_service_with(
+            schema,
+            schedule,
+            &mut planner,
+            &mut fleet,
+            &model,
+            epochs,
+            mode,
+            &rec,
+            opts,
+        )
+        .unwrap()
+    }
+
     #[test]
     fn single_query_service_matches_engine_bitwise() {
         let (schema, data, query) = setup();
@@ -2083,21 +1760,8 @@ mod tests {
             );
 
             // The service with one scheduled query covering the run.
-            let mut planner =
-                PlainPlanner { bs: Basestation::new(schema.clone(), &data), alpha: 0.01 };
-            let mut fleet = fleet_from_trace(&data, 3);
             let schedule = [ScheduleEntry::new(query.clone(), 0, epochs)];
-            let rep = run_service(
-                &schema,
-                &schedule,
-                &mut planner,
-                &mut fleet,
-                &model,
-                epochs,
-                mode,
-                &Recorder::disabled(),
-            )
-            .unwrap();
+            let rep = serve(&schema, &data, &schedule, 3, epochs, mode, &ServiceOptions::default());
 
             assert_eq!(rep.tuples(), sim.tuples);
             assert_eq!(rep.results(), sim.results);
@@ -2126,19 +1790,8 @@ mod tests {
             ScheduleEntry::new(q2.clone(), 0, epochs),
         ];
 
-        let mut planner = PlainPlanner { bs: Basestation::new(schema.clone(), &data), alpha: 0.01 };
-        let mut fleet = fleet_from_trace(&data, 2);
-        let shared = run_service(
-            &schema,
-            &schedule,
-            &mut planner,
-            &mut fleet,
-            &model,
-            epochs,
-            ExecMode::Scalar,
-            &Recorder::disabled(),
-        )
-        .unwrap();
+        let opts = ServiceOptions::default();
+        let shared = serve(&schema, &data, &schedule, 2, epochs, ExecMode::Scalar, &opts);
         assert!(shared.performed_acquisitions < shared.demanded_acquisitions);
 
         // N-independent-runs baseline: each query on its own fleet.
@@ -2174,29 +1827,10 @@ mod tests {
     fn scalar_and_vectorized_service_agree_bitwise() {
         let (schema, data, query) = setup();
         let q2 = Query::new(vec![Pred::in_range(1, 1, 1), Pred::in_range(2, 1, 1)]).unwrap();
-        let model = EnergyModel::mica_like();
-        let epochs = 40usize;
         let schedule = [ScheduleEntry::new(query, 0, 30), ScheduleEntry::new(q2, 8, 40)];
-        let mut reports = Vec::new();
-        for mode in [ExecMode::Scalar, ExecMode::Vectorized] {
-            let mut planner =
-                PlainPlanner { bs: Basestation::new(schema.clone(), &data), alpha: 0.01 };
-            let mut fleet = fleet_from_trace(&data, 2);
-            reports.push(
-                run_service(
-                    &schema,
-                    &schedule,
-                    &mut planner,
-                    &mut fleet,
-                    &model,
-                    epochs,
-                    mode,
-                    &Recorder::disabled(),
-                )
-                .unwrap(),
-            );
-        }
-        let (s, v) = (&reports[0], &reports[1]);
+        let opts = ServiceOptions::default();
+        let s = &serve(&schema, &data, &schedule, 2, 40, ExecMode::Scalar, &opts);
+        let v = &serve(&schema, &data, &schedule, 2, 40, ExecMode::Vectorized, &opts);
         assert_eq!(s.performed_acquisitions, v.performed_acquisitions);
         assert_eq!(s.demanded_acquisitions, v.demanded_acquisitions);
         for (a, b) in s.per_mote.iter().zip(&v.per_mote) {
@@ -2225,7 +1859,7 @@ mod tests {
         ];
         let mut planner = PlainPlanner { bs: Basestation::new(schema.clone(), &data), alpha: 0.0 };
         let mut fleet = fleet_from_trace(&data, 2);
-        let rep = run_service(
+        let rep = run_service_with(
             &schema,
             &schedule,
             &mut planner,
@@ -2234,6 +1868,7 @@ mod tests {
             10,
             ExecMode::Scalar,
             &Recorder::disabled(),
+            &ServiceOptions::default(),
         )
         .unwrap();
         assert!(rep.queries[0].admitted);
@@ -2244,7 +1879,7 @@ mod tests {
 
         // A zero-epoch run admits nothing and spends nothing.
         let mut fleet = fleet_from_trace(&data, 2);
-        let rep = run_service(
+        let rep = run_service_with(
             &schema,
             &schedule,
             &mut planner,
@@ -2253,56 +1888,34 @@ mod tests {
             0,
             ExecMode::Scalar,
             &Recorder::disabled(),
+            &ServiceOptions::default(),
         )
         .unwrap();
         assert!(rep.queries.iter().all(|q| !q.admitted));
         assert_eq!(rep.network.total_uj(), 0.0);
     }
 
+    /// A zero-rate fault model with its own seed, plus `collect_rows`,
+    /// leaves every count and every ledger of a default run bitwise
+    /// unchanged, in both exec modes; the rows it collects are exactly
+    /// the results.
     #[test]
     fn robust_path_at_loss_zero_is_bitwise_transparent() {
         let (schema, data, query) = setup();
         let q2 = Query::new(vec![Pred::in_range(0, 1, 1), Pred::in_range(2, 0, 0)]).unwrap();
-        let model = EnergyModel::mica_like();
         let epochs = 32usize;
         let schedule =
             [ScheduleEntry::new(query.clone(), 0, epochs), ScheduleEntry::new(q2.clone(), 4, 20)];
+        let opts = ServiceOptions {
+            faults: FaultModel { seed: 99, ..FaultModel::none() },
+            collect_rows: true,
+            ..ServiceOptions::default()
+        };
         for mode in [ExecMode::Scalar, ExecMode::Vectorized] {
-            let mut planner =
-                PlainPlanner { bs: Basestation::new(schema.clone(), &data), alpha: 0.01 };
-            let mut fleet = fleet_from_trace(&data, 3);
-            let lossless = run_service(
-                &schema,
-                &schedule,
-                &mut planner,
-                &mut fleet,
-                &model,
-                epochs,
-                mode,
-                &Recorder::disabled(),
-            )
-            .unwrap();
-            assert!(lossless.robustness.is_none());
-
-            // `collect_rows` forces the robust loop with everything
-            // else default: same fleet physics, bit for bit.
-            let opts = ServiceOptions { collect_rows: true, ..ServiceOptions::default() };
-            let mut planner =
-                PlainPlanner { bs: Basestation::new(schema.clone(), &data), alpha: 0.01 };
-            let mut fleet = fleet_from_trace(&data, 3);
-            let robust = run_service_with(
-                &schema,
-                &schedule,
-                &mut planner,
-                &mut fleet,
-                &model,
-                epochs,
-                mode,
-                &Recorder::disabled(),
-                &opts,
-            )
-            .unwrap();
-            let rob = robust.robustness.as_ref().expect("robust path reports robustness");
+            let lossless =
+                serve(&schema, &data, &schedule, 3, epochs, mode, &ServiceOptions::default());
+            let robust = serve(&schema, &data, &schedule, 3, epochs, mode, &opts);
+            let rob = robust.robustness.as_ref().expect("every run reports robustness");
             assert_eq!(rob.shed, 0);
             assert_eq!(rob.lost_results, 0);
             assert_eq!(rob.aborted_tuples, 0);
@@ -2327,11 +1940,53 @@ mod tests {
         }
     }
 
+    /// A default run registers the fault and degradation instruments
+    /// like any other run and leaves them at zero: nothing is lost,
+    /// timed out, degraded or shed, and every result took exactly one
+    /// uplink attempt.
+    #[test]
+    fn default_run_reads_zero_fault_and_degradation_counters() {
+        let (schema, data, query) = setup();
+        let q2 = Query::new(vec![Pred::in_range(0, 1, 1), Pred::in_range(2, 0, 0)]).unwrap();
+        let schedule = [ScheduleEntry::new(query, 0, 24), ScheduleEntry::new(q2, 4, 20)];
+        let rec = Recorder::new(std::sync::Arc::new(acqp_obs::NoopSink));
+        let mut planner = PlainPlanner { bs: Basestation::new(schema.clone(), &data), alpha: 0.01 };
+        let mut fleet = fleet_from_trace(&data, 3);
+        let rep = run_service_with(
+            &schema,
+            &schedule,
+            &mut planner,
+            &mut fleet,
+            &EnergyModel::mica_like(),
+            32,
+            ExecMode::Scalar,
+            &rec,
+            &ServiceOptions::default(),
+        )
+        .unwrap();
+        let snap = rec.drain();
+        let zero = |name: &str| {
+            assert!(snap.counters.contains_key(name), "{name} is not registered");
+            assert_eq!(snap.counter(name), 0, "{name}");
+        };
+        for stream in ["diss", "result", "sample"] {
+            zero(&format!("serve.fault.{stream}.lost"));
+            zero(&format!("serve.fault.{stream}.timeouts"));
+        }
+        for what in ["partial", "timeouts", "lost_results", "aborted_tuples"] {
+            zero(&format!("serve.degraded.{what}"));
+        }
+        zero("serve.shed.queries");
+        assert!(rep.results() > 0);
+        assert_eq!(snap.counter("serve.results"), rep.results() as u64);
+        assert_eq!(snap.counter("serve.fault.result.attempts"), snap.counter("serve.results"));
+        assert_eq!(rep.robustness.as_ref().map(|r| r.delivered_results), Some(rep.results()));
+    }
+
     #[test]
     fn budget_admission_is_fair_and_sheds_expired_entries() {
         let (schema, data, query) = setup();
         let q2 = Query::new(vec![Pred::in_range(0, 1, 1), Pred::in_range(2, 0, 0)]).unwrap();
-        let model = EnergyModel::mica_like();
         let bs = Basestation::new(schema.clone(), &data);
         let ca = bs.plan_query_sized(&query, 0.01, &[0, 1, 2, 4]).unwrap().1.expected_cost;
         let cb = bs.plan_query_sized(&q2, 0.01, &[0, 1, 2, 4]).unwrap().1.expected_cost;
@@ -2354,20 +2009,7 @@ mod tests {
             },
             ..ServiceOptions::default()
         };
-        let mut planner = PlainPlanner { bs: Basestation::new(schema.clone(), &data), alpha: 0.01 };
-        let mut fleet = fleet_from_trace(&data, 2);
-        let rep = run_service_with(
-            &schema,
-            &schedule,
-            &mut planner,
-            &mut fleet,
-            &model,
-            8,
-            ExecMode::Scalar,
-            &Recorder::disabled(),
-            &opts,
-        )
-        .unwrap();
+        let rep = serve(&schema, &data, &schedule, 2, 8, ExecMode::Scalar, &opts);
         let rob = rep.robustness.as_ref().unwrap();
 
         // First instance runs immediately; the duplicate yields to the
@@ -2397,25 +2039,10 @@ mod tests {
         // A predicate on `t` alone: passes on every odd epoch, so both
         // runs deliver rows from the start.
         let query = Query::new(vec![Pred::in_range(2, 1, 1)]).unwrap();
-        let model = EnergyModel::mica_like();
         let epochs = 10usize;
+        let opts = ServiceOptions { collect_rows: true, ..ServiceOptions::default() };
         let run = |schedule: &[ScheduleEntry]| {
-            let opts = ServiceOptions { collect_rows: true, ..ServiceOptions::default() };
-            let mut planner =
-                PlainPlanner { bs: Basestation::new(schema.clone(), &data), alpha: 0.01 };
-            let mut fleet = fleet_from_trace(&data, 2);
-            run_service_with(
-                &schema,
-                schedule,
-                &mut planner,
-                &mut fleet,
-                &model,
-                epochs,
-                ExecMode::Scalar,
-                &Recorder::disabled(),
-                &opts,
-            )
-            .unwrap()
+            serve(&schema, &data, schedule, 2, epochs, ExecMode::Scalar, &opts)
         };
         let full = run(&[ScheduleEntry::new(query.clone(), 0, epochs)]);
         let timed = run(&[ScheduleEntry::new(query.clone(), 0, epochs).with_deadline(3)]);

@@ -9,7 +9,7 @@
 //!   search entirely, and arms a per-signature [`DriftMonitor`] whose
 //!   firing bumps the stats epoch and invalidates every cached plan.
 //! * [`serve_schedule`] — the turn-key entry point: builds the fleet,
-//!   runs the schedule through [`run_service`], and distills a
+//!   runs the schedule through [`run_service_with`], and distills a
 //!   [`ServeReport`] with p50/p99 admission-to-result latency (in
 //!   epochs — the service never reads a wall clock) and amortized
 //!   sensing energy per query.
@@ -47,15 +47,14 @@ pub struct ServeConfig {
     pub candidate_splits: Vec<usize>,
     /// Drift thresholds governing plan-cache invalidation.
     pub drift: DriftConfig,
-    /// Seeded fault model for the run ([`FaultModel::none`] keeps the
-    /// lossless fast path).
+    /// Seeded fault model for the run ([`FaultModel::none`] = lossless).
     pub faults: FaultModel,
     /// Crash/checkpoint configuration (inactive by default).
     pub crash: CrashConfig,
     /// Admission-control and degradation policy (no-op by default).
     pub policy: ServicePolicy,
-    /// Collect delivered `(epoch, mote)` rows per query (forces the
-    /// robust engine path; used by transparency and prefix tests).
+    /// Collect delivered `(epoch, mote)` rows per query (row collection
+    /// only; used by transparency and prefix tests).
     pub collect_rows: bool,
 }
 

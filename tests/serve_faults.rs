@@ -2,10 +2,9 @@
 //!
 //! Four guarantees are pinned:
 //!
-//! 1. **Transparency** — the robust service engine at loss 0 with no
-//!    crashes and a no-op policy is *bitwise* identical to the lossless
-//!    loop, in both exec modes (`collect_rows` is the lever that forces
-//!    the robust path without changing semantics).
+//! 1. **Transparency** — a zero-rate fault seed plus `collect_rows`,
+//!    with no crashes and a no-op policy, leaves every count and ledger
+//!    of a default run *bitwise* unchanged, in both exec modes.
 //! 2. **Reproducibility** — a lossy serve run is a pure function of its
 //!    fault seed: same seed, same schedule ⇒ identical outcomes, rows
 //!    and energy to the bit.
@@ -104,9 +103,9 @@ fn small_instance() -> (Schema, Dataset, Query) {
 proptest! {
     #![proptest_config(ProptestConfig { cases: cases(16), ..ProptestConfig::default() })]
 
-    /// Forcing the robust engine (`collect_rows`) at loss 0 with no
-    /// crashes and a no-op policy changes nothing: every count and
-    /// every ledger matches the lossless loop bitwise, in both modes.
+    /// A zero-rate fault model with its own seed, plus `collect_rows`,
+    /// changes nothing: with no crashes and a no-op policy every count
+    /// and every ledger matches the default run bitwise, in both modes.
     #[test]
     fn robust_engine_at_loss_zero_is_bitwise_transparent(inst in instance_strategy()) {
         let schedule = staggered_schedule(&inst);
@@ -148,12 +147,12 @@ proptest! {
                 prop_assert_eq!(a.cache_hit, b.cache_hit, "q{}: cache_hit", i);
                 prop_assert_eq!(a.completed_at, b.completed_at, "q{}: completed_at", i);
                 prop_assert_eq!(a.status, b.status, "q{}: status", i);
-                // Rows are collected on the robust path only, and every
+                // Rows are collected only on request, and every
                 // delivered result is accounted for at loss 0.
                 prop_assert_eq!(b.rows.len(), b.results, "q{}: rows", i);
             }
-            // The robust report exists but records nothing degraded.
-            let rob = robust.service.robustness.as_ref().expect("robust path taken");
+            // The robust report records nothing degraded.
+            let rob = robust.service.robustness.as_ref().expect("every run reports robustness");
             prop_assert_eq!(rob.lost_results, 0);
             prop_assert_eq!(rob.aborted_tuples, 0);
             prop_assert_eq!(rob.shed + rob.timed_out, 0);
@@ -248,7 +247,7 @@ fn shed_and_timeout_decisions_replay_deterministically() {
     }
     // The overloaded budget must actually defer work, and anything shed
     // waited out its full queue allowance first.
-    let rob = a.service.robustness.as_ref().expect("policy forces the robust path");
+    let rob = a.service.robustness.as_ref().expect("every run reports robustness");
     assert!(rob.budget_deferrals > 0, "budget never binds: {rob:?}");
     assert!(
         a.service.queries.iter().any(|q| q.status != QueryStatus::Complete),
@@ -355,7 +354,7 @@ fn mid_schedule_crash_recovers_from_checkpoint_without_cold_start() {
         &Recorder::disabled(),
     )
     .unwrap();
-    let rob = rep.service.robustness.as_ref().expect("crash config forces the robust path");
+    let rob = rep.service.robustness.as_ref().expect("every run reports robustness");
     assert_eq!(rob.crashes, 1);
     assert_eq!(rob.cold_starts, 0, "a written checkpoint must be found on recovery");
     assert_eq!(rob.corrupt_snapshots, 0);
