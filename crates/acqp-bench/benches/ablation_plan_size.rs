@@ -10,7 +10,8 @@
 
 use acqp_core::prelude::*;
 use acqp_data::garden::{self, GardenAttrs, GardenConfig};
-use acqp_sensornet::{run_simulation, sim::fleet_from_trace, Basestation, EnergyModel};
+use acqp_obs::Recorder;
+use acqp_sensornet::{run_simulation, sim::fleet_from_trace, Basestation, EnergyModel, SimOptions};
 
 fn main() {
     let t0 = std::time::Instant::now();
@@ -43,7 +44,20 @@ fn main() {
         // Validate with a short simulation window.
         let epochs = 500.min(live.len());
         let mut motes = fleet_from_trace(&live.take(epochs), 3);
-        let rep = run_simulation(&schema, &query, &planned, &mut motes, &model, epochs);
+        let rep = run_simulation(
+            &bs,
+            &query,
+            &planned,
+            &mut motes,
+            &model,
+            epochs,
+            ExecMode::Scalar,
+            &Recorder::disabled(),
+            &SimOptions::default(),
+        )
+        .unwrap()
+        .fault
+        .sim;
         assert!(rep.all_correct);
         println!(
             "{alpha:>10.2} {k:>8} {:>8} {:>10} {:>14.2} {:>14.0}",

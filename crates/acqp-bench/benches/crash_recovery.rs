@@ -30,8 +30,8 @@ use acqp_core::DriftConfig;
 use acqp_obs::{NoopSink, Recorder};
 use acqp_sensornet::sim::fleet_from_trace;
 use acqp_sensornet::{
-    run_simulation_crashy, AdaptiveConfig, Basestation, CrashConfig, CrashReport, EnergyModel,
-    FaultModel, PlannerChoice, ReplanBudget,
+    run_simulation, AdaptiveConfig, Basestation, CrashConfig, CrashReport, EnergyModel, FaultModel,
+    PlannerChoice, ReplanBudget, SimOptions,
 };
 
 const EPOCHS: usize = 400;
@@ -104,25 +104,29 @@ fn run_point(rate: f64, mode: Mode) -> CrashReport {
             Some(d)
         }
     };
-    let crash = CrashConfig {
-        checkpoint_dir: dir.clone(),
-        checkpoint_every: if let Mode::Snap(n) = mode { n } else { 0 },
-        crash_epochs: Vec::new(),
-        crash_rate: rate,
+    let opts = SimOptions {
+        faults,
+        adaptive: Some(cfg),
+        crash: CrashConfig {
+            checkpoint_dir: dir.clone(),
+            checkpoint_every: if let Mode::Snap(n) = mode { n } else { 0 },
+            crash_epochs: Vec::new(),
+            crash_rate: rate,
+        },
+        topology: None,
     };
 
     let mut motes = fleet_from_trace(&live, MOTES);
-    let report = run_simulation_crashy(
+    let report = run_simulation(
         &bs,
         &query,
         &planned,
         &mut motes,
         &model,
         EPOCHS,
-        &faults,
-        Some(&cfg),
-        &crash,
+        ExecMode::Scalar,
         &rec,
+        &opts,
     )
     .expect("crashy simulation");
     drop(rec.drain());

@@ -23,8 +23,8 @@ use acqp_core::DriftConfig;
 use acqp_obs::{NoopSink, Recorder};
 use acqp_sensornet::sim::fleet_from_trace;
 use acqp_sensornet::{
-    run_simulation_adaptive, run_simulation_faulty, AdaptiveConfig, Basestation, EnergyModel,
-    FaultModel, FaultReport, PlannerChoice, ReplanBudget,
+    run_simulation, AdaptiveConfig, Basestation, EnergyModel, FaultModel, FaultReport,
+    PlannerChoice, ReplanBudget, SimOptions,
 };
 
 const EPOCHS: usize = 800;
@@ -65,9 +65,15 @@ fn sweep_point(loss: f64) -> Point {
     let faults = FaultModel::lossy(FAULT_SEED, loss);
     let rec = Recorder::new(Arc::new(NoopSink));
 
-    let mut motes = fleet_from_trace(&live, MOTES);
-    let stale =
-        run_simulation_faulty(&schema, &query, &planned, &mut motes, &model, EPOCHS, &faults, &rec);
+    let run = |adaptive: Option<AdaptiveConfig>| {
+        let mut motes = fleet_from_trace(&live, MOTES);
+        let opts = SimOptions { faults: faults.clone(), adaptive, ..SimOptions::default() };
+        let mode = ExecMode::Scalar;
+        run_simulation(&bs, &query, &planned, &mut motes, &model, EPOCHS, mode, &rec, &opts)
+            .expect("simulation")
+            .fault
+    };
+    let stale = run(None);
 
     let cfg = AdaptiveConfig {
         drift: DriftConfig { threshold: 0.2, min_samples: 16 },
@@ -78,11 +84,7 @@ fn sweep_point(loss: f64) -> Point {
         budget: ReplanBudget::default(),
         alpha: 0.0,
     };
-    let mut motes = fleet_from_trace(&live, MOTES);
-    let adaptive = run_simulation_adaptive(
-        &bs, &query, &planned, &mut motes, &model, EPOCHS, &faults, &cfg, &rec,
-    )
-    .expect("adaptive simulation");
+    let adaptive = run(Some(cfg));
     drop(rec.drain());
 
     assert!(stale.sim.all_correct && adaptive.sim.all_correct, "verdicts diverged at loss {loss}");

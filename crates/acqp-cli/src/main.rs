@@ -62,9 +62,8 @@ impl From<&str> for CliError {
 /// CLI-level result (the core prelude shadows `Result`).
 type CliResult<T> = std::result::Result<T, CliError>;
 use acqp_sensornet::{
-    run_simulation_adaptive, run_simulation_crashy, run_simulation_faulty, run_simulation_mode,
-    sim::fleet_from_trace, AdaptiveConfig, Basestation, CrashConfig, EnergyModel, FaultModel,
-    FaultReport, ReplanBudget, ScheduleEntry, ServicePolicy,
+    run_simulation, sim::fleet_from_trace, AdaptiveConfig, Basestation, CrashConfig, EnergyModel,
+    FaultModel, ReplanBudget, ScheduleEntry, ServicePolicy, SimOptions,
 };
 use acqp_serve::{independent_schedule_energy, serve_schedule, ServeConfig};
 use args::Args;
@@ -751,13 +750,16 @@ fn cmd_simulate(args: &Args) -> CliResult<()> {
             })?,
         None => Vec::new(),
     };
-    // Any crash/checkpoint flag opts into the crash-prone engine; the
-    // default path stays byte-identical to previous releases.
+    // Any crash/checkpoint flag turns on crash recovery and its summary
+    // lines; without one the output stays byte-identical to previous
+    // releases.
     let crashy = checkpoint_dir.is_some()
         || !crash_epochs.is_empty()
         || crash_rate > 0.0
         || args.get("checkpoint-every").is_some();
     let mode = exec_mode_from(args)?;
+    // `run_simulation` rejects these combinations too; checking here
+    // names the CLI flag and fails before any planning output.
     if mode == ExecMode::Vectorized
         && (crashy || replan_threshold.is_some() || !faults.is_lossless())
     {
@@ -783,86 +785,25 @@ fn cmd_simulate(args: &Args) -> CliResult<()> {
     );
     let rec = recorder_from(args)?;
     let mut motes = fleet_from_trace(&live, fleet);
-    let adaptive_cfg = replan_threshold.map(|threshold| AdaptiveConfig {
-        drift: DriftConfig { threshold, ..DriftConfig::default() },
-        sample_every,
-        budget: ReplanBudget { max_subproblems: replan_budget.max(1), grid_splits: 3 },
-        alpha,
-        ..AdaptiveConfig::default()
-    });
-    let mut crash_info = None;
-    let rep = if mode == ExecMode::Vectorized {
-        // The lossless batch path: same SimReport, metrics and ledgers
-        // as the scalar engine, to the bit. Nothing can be lost, so the
-        // fault ledger is trivially clean.
-        let sim = run_simulation_mode(
-            &g.schema,
-            &query,
-            &planned,
-            &mut motes,
-            &model,
-            live.len(),
-            mode,
-            &rec,
-        );
-        FaultReport {
-            delivered_results: sim.results,
-            lost_results: 0,
-            aborted_tuples: 0,
-            offline_epochs: 0,
-            undisseminated_epochs: 0,
-            samples_delivered: 0,
-            bs_tx_uj: fleet as f64 * planned.wire.len() as f64 * model.radio_tx_uj_per_byte,
-            replans: Vec::new(),
-            sim,
-        }
-    } else if crashy {
-        let crash = CrashConfig { checkpoint_dir, checkpoint_every, crash_epochs, crash_rate };
-        let crep = run_simulation_crashy(
-            &bs,
-            &query,
-            &planned,
-            &mut motes,
-            &model,
-            live.len(),
-            &faults,
-            adaptive_cfg.as_ref(),
-            &crash,
-            &rec,
-        )?;
-        crash_info = Some((
-            crep.crashes,
-            crep.cold_starts,
-            crep.corrupt_snapshots,
-            crep.wal_replayed,
-            crep.checkpoints_written,
-            crep.recovery_rediss_uj,
-        ));
-        crep.fault
-    } else if let Some(cfg) = &adaptive_cfg {
-        run_simulation_adaptive(
-            &bs,
-            &query,
-            &planned,
-            &mut motes,
-            &model,
-            live.len(),
-            &faults,
-            cfg,
-            &rec,
-        )?
-    } else {
-        run_simulation_faulty(
-            &g.schema,
-            &query,
-            &planned,
-            &mut motes,
-            &model,
-            live.len(),
-            &faults,
-            &rec,
-        )
+    let opts = SimOptions {
+        faults,
+        adaptive: replan_threshold.map(|threshold| AdaptiveConfig {
+            drift: DriftConfig { threshold, ..DriftConfig::default() },
+            sample_every,
+            budget: ReplanBudget { max_subproblems: replan_budget.max(1), grid_splits: 3 },
+            alpha,
+            ..AdaptiveConfig::default()
+        }),
+        crash: if crashy {
+            CrashConfig { checkpoint_dir, checkpoint_every, crash_epochs, crash_rate }
+        } else {
+            CrashConfig::default()
+        },
+        topology: None,
     };
+    let crep =
+        run_simulation(&bs, &query, &planned, &mut motes, &model, live.len(), mode, &rec, &opts)?;
+    let rep = &crep.fault;
     if !rep.sim.all_correct {
         return Err(CliError::Usage("internal error: simulation verdicts diverged".into()));
     }
@@ -881,11 +822,11 @@ fn cmd_simulate(args: &Args) -> CliResult<()> {
     // Fault and re-plan summaries print only when the feature is
     // active, so a `--loss-rate 0.0` run stays byte-identical to the
     // lossless default.
-    if !faults.is_lossless() {
+    if !opts.faults.is_lossless() {
         println!(
             "faults: seed {}, delivered {}/{} results ({:.1}%), {} aborted tuples, \
              {} offline epochs, {} undisseminated",
-            faults.seed,
+            opts.faults.seed,
             rep.delivered_results,
             rep.sim.results,
             100.0 * rep.delivery_rate(),
@@ -894,16 +835,18 @@ fn cmd_simulate(args: &Args) -> CliResult<()> {
             rep.undisseminated_epochs
         );
     }
-    if let Some((crashes, cold, corrupt, replayed, checkpoints, rediss_uj)) = crash_info {
+    if crashy {
         println!(
-            "crashes: {crashes} injected, {cold} cold starts, {corrupt} corrupt snapshots, \
-             {replayed} WAL records replayed"
+            "crashes: {} injected, {} cold starts, {} corrupt snapshots, \
+             {} WAL records replayed",
+            crep.crashes, crep.cold_starts, crep.corrupt_snapshots, crep.wal_replayed
         );
         println!(
-            "recovery: {checkpoints} checkpoints written, re-dissemination cost {rediss_uj:.0} uJ"
+            "recovery: {} checkpoints written, re-dissemination cost {:.0} uJ",
+            crep.checkpoints_written, crep.recovery_rediss_uj
         );
     }
-    if replan_threshold.is_some() {
+    if opts.adaptive.is_some() {
         let adopted = rep.replans.iter().filter(|r| r.adopted).count();
         println!("replans: {} triggered, {} adopted", rep.replans.len(), adopted);
         for r in rep.replans.iter().filter(|r| r.adopted) {

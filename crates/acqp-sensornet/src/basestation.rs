@@ -96,7 +96,7 @@ impl<'h> Basestation<'h> {
     /// certified per-tuple bound. A planner bug that emits malformed
     /// bytes or an impossible cost claim is caught here, at the
     /// basestation, instead of bricking motes in the field.
-    fn certify(&self, query: &Query, p: &PlannedQuery) -> Result<()> {
+    pub(crate) fn certify(&self, query: &Query, p: &PlannedQuery) -> Result<()> {
         let cert = acqp_verify::verify_wire(&p.wire, query, &self.schema)?;
         cert.check_claim(p.expected_cost)?;
         Ok(())

@@ -85,9 +85,17 @@ pub struct FaultModel {
     pub backoff_base: u32,
 }
 
+impl Default for FaultModel {
+    /// The lossless model, [`FaultModel::none`].
+    fn default() -> Self {
+        FaultModel::none()
+    }
+}
+
 impl FaultModel {
     /// The lossless model: what the simulator did before fault
-    /// injection existed. `run_simulation` uses exactly this.
+    /// injection existed, and the default of
+    /// [`crate::sim::SimOptions`].
     pub fn none() -> Self {
         FaultModel {
             seed: 0,

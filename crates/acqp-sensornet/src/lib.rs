@@ -22,11 +22,15 @@
 //! * [`mote`] — a mote: a trace-fed tuple source with an energy ledger.
 //! * [`basestation`] — plan construction, the α-penalized plan-size
 //!   choice, dissemination costing.
-//! * [`sim`] — the epoch loop tying it together, with a network-wide
-//!   energy report.
+//! * [`sim`] — the epoch loop tying it together: one
+//!   [`run_simulation`] whose [`SimOptions`] add faults, drift
+//!   re-planning, crashes or a multihop [`Topology`], in scalar or
+//!   vectorized execution, with a network-wide energy report.
+//! * [`topology`] — multihop collection trees, the radio model of a
+//!   multihop run.
 //! * [`recovery`] — crash-safe basestation: checkpoint/WAL journaling
-//!   through `acqp-persist`, seeded basestation crashes
-//!   ([`sim::run_simulation_crashy`]), recovery with re-dissemination
+//!   through `acqp-persist`, seeded basestation crashes (the `crash`
+//!   option of [`run_simulation`]), recovery with re-dissemination
 //!   charged to the energy model (`recovery.*` taxonomy).
 //! * [`service`] — the multi-query service loop: a schedule of
 //!   concurrent queries over one fleet with per-epoch acquisition
@@ -58,8 +62,7 @@ pub use service::{
     ServeRobustReport, ServiceOptions, ServicePolicy, ServiceReport,
 };
 pub use sim::{
-    result_packet_bytes, run_simulation, run_simulation_adaptive, run_simulation_crashy,
-    run_simulation_faulty, run_simulation_mode, run_simulation_multihop, run_simulation_recorded,
-    sample_packet_bytes, AdaptiveConfig, FaultReport, ReplanEvent, SimReport,
+    result_packet_bytes, run_simulation, sample_packet_bytes, AdaptiveConfig, FaultReport,
+    ReplanEvent, SimOptions, SimReport,
 };
 pub use topology::Topology;

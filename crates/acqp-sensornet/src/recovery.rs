@@ -1,6 +1,6 @@
 //! Crash-recovery support for the basestation: checkpoint/WAL
 //! journaling during a run and state reconstruction after a seeded
-//! crash (`run_simulation_crashy`).
+//! crash (the `crash` option of `run_simulation`, and the service's).
 //!
 //! The division of labor: `acqp-persist` owns the file formats and the
 //! recovery *policy* (newest valid snapshot + idempotent WAL replay);
@@ -304,6 +304,40 @@ impl<'a> CrashRuntime<'a> {
     /// failed during the run.
     pub(crate) fn take_error(&mut self) -> Option<PersistError> {
         self.journal.as_mut().and_then(|j| j.error.take())
+    }
+
+    /// Counts one crash and what its recovery found on disk.
+    pub(crate) fn count_recovery(&mut self, cold_start: bool, corrupt: usize, replayed: usize) {
+        self.crashes += 1;
+        self.counters.attempted.incr(1);
+        if cold_start {
+            self.cold_starts += 1;
+            self.counters.cold_start.incr(1);
+        }
+        self.corrupt_snapshots += corrupt;
+        self.counters.corrupt.incr(corrupt as u64);
+        self.wal_replayed += replayed;
+        self.counters.wal_replayed.incr(replayed as u64);
+    }
+
+    /// Closes the run: the latched persistence error if there is one,
+    /// else `fault` extended with this run's crash accounting.
+    pub(crate) fn into_report(
+        mut self,
+        fault: crate::sim::FaultReport,
+    ) -> Result<CrashReport, PersistError> {
+        if let Some(e) = self.take_error() {
+            return Err(e);
+        }
+        Ok(CrashReport {
+            fault,
+            crashes: self.crashes,
+            cold_starts: self.cold_starts,
+            corrupt_snapshots: self.corrupt_snapshots,
+            wal_replayed: self.wal_replayed,
+            checkpoints_written: self.checkpoints_written,
+            recovery_rediss_uj: self.recovery_rediss_uj,
+        })
     }
 }
 

@@ -22,7 +22,7 @@
 //! order — the *arbitration order* is a pure function of the schedule,
 //! so fixed seeds reproduce runs bit-for-bit. A default-options service
 //! run with a single scheduled query performs exactly the `f64` ledger
-//! additions of [`crate::sim::run_simulation_mode`] per accumulator, in
+//! additions of [`crate::sim::run_simulation`] per accumulator, in
 //! the same order, and is therefore bitwise identical to it (pinned by
 //! `tests/serve_equivalence.rs`). Latency is measured in **epochs**,
 //! never wall-clock time.
@@ -321,7 +321,7 @@ impl ServicePolicy {
 /// recovery, admission policy, row collection. [`Default`] is the
 /// lossless service: no faults, no crashes, a no-op policy, no rows.
 /// Every option set runs the same epoch loop.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ServiceOptions {
     /// Seeded fault model ([`FaultModel::none`] = lossless).
     pub faults: FaultModel,
@@ -333,17 +333,6 @@ pub struct ServiceOptions {
     /// [`QueryOutcome::rows`]. Row collection only: it changes no count
     /// and no ledger.
     pub collect_rows: bool,
-}
-
-impl Default for ServiceOptions {
-    fn default() -> Self {
-        ServiceOptions {
-            faults: FaultModel::none(),
-            crash: CrashConfig::default(),
-            policy: ServicePolicy::default(),
-            collect_rows: false,
-        }
-    }
 }
 
 /// Vectorized-mode precomputation for one live query: the prepared
@@ -797,8 +786,6 @@ impl ServeEngine<'_> {
     /// serve checkpoint + WAL tail are read back to restore the
     /// policy's plan cache, stats epoch and live-query drift counters.
     fn crash_and_recover(&mut self, e: usize) {
-        self.cr.crashes += 1;
-        self.cr.counters.attempted.incr(1);
         let down_seq = self.flight.emit(e as u64, self.start_seq, "crash.down", &[]);
         for q in self.live.iter_mut() {
             for k in q.bs_known.iter_mut() {
@@ -818,14 +805,7 @@ impl ServeEngine<'_> {
             recovered.corrupt_snapshots,
             recovered.snapshots_scanned,
         );
-        self.cr.cold_starts += usize::from(cold);
-        if cold {
-            self.cr.counters.cold_start.incr(1);
-        }
-        self.cr.corrupt_snapshots += corrupt;
-        self.cr.counters.corrupt.incr(corrupt as u64);
-        self.cr.wal_replayed += replayed;
-        self.cr.counters.wal_replayed.incr(replayed as u64);
+        self.cr.count_recovery(cold, corrupt, replayed);
         let cp_epoch = recovered.checkpoint.as_ref().map_or(-1, |c| c.epoch as i64);
         match recovered.checkpoint {
             Some(cp) => {
@@ -1664,7 +1644,7 @@ fn precompute_batches(
 mod tests {
     use super::*;
     use crate::basestation::Basestation;
-    use crate::sim::{fleet_from_trace, run_simulation_mode};
+    use crate::sim::{fleet_from_trace, run_simulation, SimOptions};
     use acqp_core::{Attribute, Dataset, Pred};
 
     /// A minimal cache-free policy for engine tests: plans every
@@ -1748,8 +1728,8 @@ mod tests {
             // Reference: the single-query engine.
             let planned = bs.plan_query_sized(&query, 0.01, &[0, 1, 2, 4]).unwrap().1;
             let mut ref_fleet = fleet_from_trace(&data, 3);
-            let sim = run_simulation_mode(
-                &schema,
+            let sim = run_simulation(
+                &bs,
                 &query,
                 &planned,
                 &mut ref_fleet,
@@ -1757,7 +1737,11 @@ mod tests {
                 epochs,
                 mode,
                 &Recorder::disabled(),
-            );
+                &SimOptions::default(),
+            )
+            .unwrap()
+            .fault
+            .sim;
 
             // The service with one scheduled query covering the run.
             let schedule = [ScheduleEntry::new(query.clone(), 0, epochs)];
@@ -1800,8 +1784,8 @@ mod tests {
             let bs = Basestation::new(schema.clone(), &data);
             let planned = bs.plan_query_sized(&entry.query, 0.01, &[0, 1, 2, 4]).unwrap().1;
             let mut f = fleet_from_trace(&data, 2);
-            let sim = run_simulation_mode(
-                &schema,
+            let sim = run_simulation(
+                &bs,
                 &entry.query,
                 &planned,
                 &mut f,
@@ -1809,7 +1793,11 @@ mod tests {
                 epochs,
                 ExecMode::Scalar,
                 &Recorder::disabled(),
-            );
+                &SimOptions::default(),
+            )
+            .unwrap()
+            .fault
+            .sim;
             independent += sim.network.total_uj();
         }
         assert!(

@@ -1,32 +1,43 @@
-//! The epoch-loop simulation: dissemination, per-epoch plan execution on
-//! every mote, result reporting, network-wide energy accounting — with
-//! optional fault injection ([`run_simulation_faulty`]),
-//! drift-triggered re-planning ([`run_simulation_adaptive`]), and
-//! basestation crash/recovery ([`run_simulation_crashy`]).
+//! The epoch-loop simulation (§2.5, Fig. 4): the basestation
+//! disseminates a plan, every mote executes it once per epoch against
+//! its own trace, passing tuples are reported back, and every step is
+//! charged to per-mote energy ledgers.
 //!
-//! All entry points share one [`Engine`]; the lossless
-//! [`run_simulation`] simply runs it with [`FaultModel::none`], so a
-//! faulty run with a zero loss rate is *bit-identical* to the lossless
-//! simulator by construction (at zero loss the first attempt of every
-//! packet succeeds and no extra energy is charged). The same argument
-//! extends to crashes: a crashy run with an empty crash schedule only
-//! adds journaling side-writes, never a different fault roll or energy
-//! charge, so its [`FaultReport`] is bit-identical to
-//! [`run_simulation_faulty`]'s.
+//! [`run_simulation`] is the one entry point and `Engine` the one loop.
+//! [`SimOptions`] selects what the loop layers on top of its default,
+//! the lossless single-hop run:
 //!
-//! Crash semantics: the engine distinguishes what each mote *actually
-//! holds* (`mote_has`, physical state that survives a basestation
-//! crash) from what the basestation *believes* it holds (`bs_known`,
-//! process memory wiped by a crash). A restart recovers the basestation
-//! from its checkpoint/WAL directory, then re-disseminates the current
-//! plan to every mote it no longer knows about — real radio energy,
-//! charged like any other dissemination.
+//! * `faults` — lossy dissemination and reporting with bounded retry,
+//!   sensing failures and mote dropouts ([`FaultModel`]);
+//! * `adaptive` — drift-triggered re-planning ([`AdaptiveConfig`]);
+//! * `crash` — basestation crashes with checkpoint/WAL recovery
+//!   ([`CrashConfig`]);
+//! * `topology` — a multihop collection tree as the radio model
+//!   ([`Topology`]).
+//!
+//! [`ExecMode`] picks how motes evaluate the plan. `Scalar` runs the
+//! wire interpreter one tuple at a time. `Vectorized` runs the batch
+//! executor over every mote's next [`BATCH_ROWS`] epochs at each window
+//! boundary and charges each slot's acquisition chain through
+//! `Mote::charge_epoch`, the exact `f64` additions a metered source
+//! performs. Both feed the same per-slot accounting, so reports,
+//! ledgers, metrics and flight traces match to the bit.
+//!
+//! Every option is a setting of the same loop, so the defaults are
+//! transparent by construction: at zero loss every packet lands on its
+//! first attempt, and an inactive crash config never crashes.
+//!
+//! Crash semantics: what each mote *actually holds* (`mote_has`)
+//! survives a basestation crash; what the basestation *believes* it
+//! holds (`bs_known`) is wiped, so a restart re-disseminates the
+//! current plan to every mote it no longer knows about — real radio
+//! energy, charged like any other dissemination.
 
 use acqp_core::drift::DriftMonitor;
 use acqp_core::prelude::{estimated_selectivities, CountingEstimator, Ranges};
 use acqp_core::{
     truth_columnar, BatchExecutor, BatchOutcome, ColumnBatch, CostModel, Dataset, DriftConfig,
-    ExecMode, PreparedPlan, Query, Schema, TupleSource, BATCH_ROWS,
+    Error, ExecMode, PreparedPlan, Query, Result, Schema, TupleSource, BATCH_ROWS,
 };
 use acqp_obs::{Counter, FlightRecorder, Hist, Recorder, TraceValue};
 use acqp_persist::{BasestationCheckpoint, PlanRecord, WalRecord};
@@ -34,13 +45,14 @@ use acqp_stream::SlidingWindow;
 
 use crate::basestation::{Basestation, PlannedQuery, ReplanBudget};
 use crate::energy::{EnergyLedger, EnergyModel};
-use crate::fault::{attempt_packet, FaultModel, FaultStats, FaultStream, FaultySource};
+use crate::fault::{attempt_packet, Delivery, FaultModel, FaultStats, FaultStream, FaultySource};
 use crate::interp::execute_wire;
 use crate::mote::Mote;
 use crate::recovery::{core_err, CrashConfig, CrashReport, CrashRuntime, Journal, RecoveredState};
+use crate::topology::Topology;
 
 /// Result of simulating one planned query over a fleet of motes.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SimReport {
     /// Epochs executed.
     pub epochs: usize,
@@ -59,27 +71,6 @@ pub struct SimReport {
     /// plans minimize. `0.0` when no tuple was evaluated (zero epochs
     /// or an empty fleet), never `NaN`.
     pub sensing_uj_per_tuple: f64,
-}
-
-impl SimReport {
-    /// Assembles a report, computing the network aggregate and the
-    /// per-tuple sensing mean with the degenerate cases (`epochs == 0`,
-    /// empty fleet) pinned to `0.0` instead of `NaN`.
-    fn assemble(
-        epochs: usize,
-        tuples: usize,
-        results: usize,
-        all_correct: bool,
-        per_mote: Vec<EnergyLedger>,
-    ) -> SimReport {
-        let mut network = EnergyLedger::default();
-        for l in &per_mote {
-            network.absorb(l);
-        }
-        let sensing_uj_per_tuple =
-            if tuples > 0 { network.sensing_uj / tuples as f64 } else { 0.0 };
-        SimReport { epochs, tuples, results, all_correct, network, per_mote, sensing_uj_per_tuple }
-    }
 }
 
 /// On-air width of one attribute value: one byte for domains that fit,
@@ -127,7 +118,7 @@ pub struct ReplanEvent {
 }
 
 /// A [`SimReport`] extended with fault-path accounting.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FaultReport {
     /// The core simulation report.
     pub sim: SimReport,
@@ -195,51 +186,74 @@ impl Default for AdaptiveConfig {
     }
 }
 
-/// Runs `planned` for `epochs` epochs on the given motes, losslessly.
+/// Everything optional about a simulation run. [`Default`] is the
+/// lossless single-hop run: no faults, no re-planning, no crashes, no
+/// topology. Every option set runs the same epoch loop.
+#[derive(Debug, Clone, Default)]
+pub struct SimOptions {
+    /// Seeded fault model ([`FaultModel::none`] = lossless).
+    pub faults: FaultModel,
+    /// Drift-triggered re-planning (`None` keeps the first plan).
+    pub adaptive: Option<AdaptiveConfig>,
+    /// Crash/checkpoint configuration (inactive by default).
+    pub crash: CrashConfig,
+    /// Multihop collection tree over the fleet. `None` links every
+    /// mote straight to the basestation.
+    pub topology: Option<Topology>,
+}
+
+impl SimOptions {
+    /// Rejects the option sets the engine has no semantics for: the
+    /// batch executor cannot lose packets, crash or re-plan, the tree
+    /// radio model has no loss or recovery semantics, and a topology must
+    /// place exactly the fleet's motes.
+    fn validate(&self, mode: ExecMode, motes: usize) -> Result<()> {
+        let reject = |flag: &str, value: String, why| {
+            Err(Error::InvalidFlag { flag: flag.into(), value, why })
+        };
+        let perturbed =
+            !self.faults.is_lossless() || self.crash.is_active() || self.adaptive.is_some();
+        if mode == ExecMode::Vectorized && perturbed {
+            return reject(
+                "exec",
+                "vectorized".into(),
+                "vectorized simulation covers only the lossless, crash-free run without \
+                 re-planning; use scalar execution",
+            );
+        }
+        match &self.topology {
+            Some(t) if t.len() != motes => reject(
+                "topology",
+                format!("{} motes", t.len()),
+                "the topology must place exactly the fleet's motes",
+            ),
+            Some(_) if perturbed => reject(
+                "topology",
+                "multihop".into(),
+                "the tree radio model has no loss, crash or re-planning semantics; \
+                 multihop runs are lossless",
+            ),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// Runs `planned` for `epochs` epochs on the given motes under `opts`,
+/// recording `sensornet.*`, `sensornet.fault.*` and `recovery.*`
+/// metrics (`DESIGN.md` §8).
 ///
-/// Each mote receives the plan (radio rx), executes its wire encoding
-/// once per epoch against its own trace (sensing + board energy), and
-/// transmits a result packet for every passing tuple.
-pub fn run_simulation(
-    schema: &Schema,
-    query: &Query,
-    planned: &PlannedQuery,
-    motes: &mut [Mote],
-    model: &EnergyModel,
-    epochs: usize,
-) -> SimReport {
-    run_simulation_recorded(schema, query, planned, motes, model, epochs, &Recorder::disabled())
-}
-
-/// Like [`run_simulation`], recording `sensornet.*` metrics: tuple /
-/// result / radio-message counters, a per-epoch acquisition histogram,
-/// and per-mote energy gauges (see `DESIGN.md` §8).
-pub fn run_simulation_recorded(
-    schema: &Schema,
-    query: &Query,
-    planned: &PlannedQuery,
-    motes: &mut [Mote],
-    model: &EnergyModel,
-    epochs: usize,
-    rec: &Recorder,
-) -> SimReport {
-    let lossless = FaultModel::none();
-    let mut eng =
-        Engine::new(schema, query, planned, motes, model, &lossless, None, None, None, rec);
-    eng.run(epochs).sim
-}
-
-/// Like [`run_simulation_recorded`], dispatching on [`ExecMode`]:
-/// `Scalar` is the engine-based lossless loop verbatim, `Vectorized`
-/// executes each mote's trace through the columnar batch executor and
-/// replays the precomputed acquisition chains into the energy ledgers —
-/// reports, ledgers and recorded `sensornet.*` metrics are bitwise
-/// identical (see `DESIGN.md` §12). Fault injection, adaptivity and
-/// crash recovery remain scalar-only: their per-tuple retry state is
-/// inherently sequential.
+/// The plan is certified first: its wire must pass the certificate
+/// [`Basestation::plan_query`] applies, and its tree must encode to
+/// exactly that wire (scalar motes run the wire, the batch executor
+/// runs the tree). A crashed basestation recovers from its checkpoint
+/// directory and re-disseminates, the radio energy totalled in
+/// [`CrashReport::recovery_rediss_uj`]; corrupt snapshots and a torn
+/// WAL are absorbed and counted. Errors: an uncertifiable or mismatched
+/// plan, an option set [`SimOptions`] cannot combine, a drift config
+/// the monitor rejects, and persistence I/O failures.
 #[allow(clippy::too_many_arguments)]
-pub fn run_simulation_mode(
-    schema: &Schema,
+pub fn run_simulation(
+    bs: &Basestation<'_>,
     query: &Query,
     planned: &PlannedQuery,
     motes: &mut [Mote],
@@ -247,325 +261,97 @@ pub fn run_simulation_mode(
     epochs: usize,
     mode: ExecMode,
     rec: &Recorder,
-) -> SimReport {
-    match mode {
-        ExecMode::Scalar => {
-            run_simulation_recorded(schema, query, planned, motes, model, epochs, rec)
-        }
-        ExecMode::Vectorized => {
-            run_simulation_vectorized(schema, query, planned, motes, model, epochs, rec)
-        }
+    opts: &SimOptions,
+) -> Result<CrashReport> {
+    bs.certify(query, planned)?;
+    let encoded = planned.plan.encode();
+    if encoded != planned.wire {
+        let offset = encoded.iter().zip(&planned.wire).take_while(|(a, b)| a == b).count();
+        return Err(Error::BadWireFormat {
+            offset,
+            what: "the plan tree does not encode to the disseminated wire",
+        });
     }
-}
-
-/// The vectorized lossless simulation: per mote, the trace is executed
-/// in [`BATCH_ROWS`] column windows by the batch executor, then each
-/// epoch's energy is charged by replaying its (node-constant)
-/// acquisition chain in order through [`Mote::charge_epoch`] — the
-/// exact `f64` additions a [`crate::mote::MeteredSource`] performs, in
-/// the same per-mote order, so ledgers match the scalar engine to the
-/// bit. Instruments mirror the engine's lossless path one-for-one,
-/// including the first-attempt `sensornet.fault.*` counters.
-fn run_simulation_vectorized(
-    schema: &Schema,
-    query: &Query,
-    planned: &PlannedQuery,
-    motes: &mut [Mote],
-    model: &EnergyModel,
-    epochs: usize,
-    rec: &Recorder,
-) -> SimReport {
-    let span = rec.span("sensornet.simulate");
-    let flight = rec.flight().clone();
-    let start_seq =
-        flight.emit(0, 0, "sim.start", &[("motes", motes.len().into()), ("epochs", epochs.into())]);
-    let tuples_c = rec.counter("sensornet.tuples");
-    let results_c = rec.counter("sensornet.results");
-    let radio_c = rec.counter("sensornet.radio.msgs");
-    let acq_hist = rec.hist("sensornet.acquisitions_per_tuple");
-    let stats = FaultStats::new(rec);
-    // The engine registers the replan taxonomy even on runs that never
-    // replan; mirror that so snapshots are key-identical across modes.
-    rec.counter("sensornet.replan.triggered");
-    rec.counter("sensornet.replan.adopted");
-    let uplink_bytes = result_packet_bytes(schema, query);
-    let prepared = PreparedPlan::new(&planned.plan, query, schema, &CostModel::PerAttribute);
-    let mut exec = BatchExecutor::new();
-    let mut out = BatchOutcome::default();
-    let mut truth = Vec::new();
-
-    // Initial dissemination: every mote is online and the first attempt
-    // always succeeds at zero loss. `bs_tx_uj` mirrors the scalar
-    // engine's per-mote accumulation expression exactly.
-    let mut bs_tx_uj = 0.0;
-    for m in motes.iter_mut() {
-        stats.diss_attempts.incr(1);
-        radio_c.incr(1);
-        m.receive(planned.wire.len(), model);
-        bs_tx_uj += (planned.wire.len()) as f64 * model.radio_tx_uj_per_byte;
-    }
-
-    // Flight tick bookkeeping: the engine emits `epoch.tick` in epoch
-    // order with fleet sums folded in mote order; this mote-major loop
-    // instead records per-(mote, epoch) ledger totals and per-epoch
-    // tallies, then emits the same ticks after the loop — same values,
-    // same fold order, so fixed-seed traces are byte-identical across
-    // exec modes. All of it is gated: a disabled flight costs nothing.
-    let track = flight.enabled();
-    let mut last_energy = 0.0;
-    if track {
-        last_energy = motes.iter().fold(0.0, |acc, m| acc + m.ledger().total_uj());
-        let delivered = motes.len();
-        flight.emit(
-            0,
-            start_seq,
-            "sim.disseminate",
-            &[("delivered", delivered.into()), ("bs_tx_uj", bs_tx_uj.into())],
-        );
-    }
-    let mut ep_tuples = vec![0u64; if track { epochs } else { 0 }];
-    let mut ep_results = vec![0u64; if track { epochs } else { 0 }];
-    let mut ep_acq = vec![0u64; if track { epochs } else { 0 }];
-    let mut energy: Vec<Vec<f64>> =
-        if track { vec![vec![0.0; epochs]; motes.len()] } else { Vec::new() };
-
-    let mut tuples = 0usize;
-    let mut results = 0usize;
-    let mut all_correct = true;
-    for (mi, m) in motes.iter_mut().enumerate() {
-        let n = epochs.min(m.epochs());
-        let mut start = 0usize;
-        while start < n {
-            let len = BATCH_ROWS.min(n - start);
-            {
-                let batch = ColumnBatch::slice(m.trace(), start, len);
-                exec.execute_batch(&prepared, &batch, None, &mut out);
-                truth_columnar(query, &batch, &mut truth);
-            }
-            for (slot, &t) in truth.iter().enumerate().take(len) {
-                tuples += 1;
-                tuples_c.incr(1);
-                let chain = out.acquired(&prepared, slot);
-                m.charge_epoch(chain, schema, model);
-                acq_hist.observe(chain.len() as u64);
-                all_correct &= out.verdict(slot) == t;
-                if out.verdict(slot) {
-                    results += 1;
-                    results_c.incr(1);
-                    stats.result_attempts.incr(1);
-                    m.transmit(uplink_bytes, model);
-                    radio_c.incr(1);
-                }
-                if track {
-                    let e = start + slot;
-                    ep_tuples[e] += 1;
-                    ep_acq[e] += chain.len() as u64;
-                    ep_results[e] += u64::from(out.verdict(slot));
-                    energy[mi][e] = m.ledger().total_uj();
-                }
-            }
-            start += len;
-        }
-        if track {
-            // Epochs past this mote's trace leave its ledger untouched
-            // (the scalar engine skips them), so its total carries over.
-            let rest = m.ledger().total_uj();
-            for slot in energy[mi].iter_mut().skip(n) {
-                *slot = rest;
-            }
-        }
-    }
-    if track {
-        for e in 0..epochs {
-            let fleet = (0..energy.len()).fold(0.0, |acc, mi| acc + energy[mi][e]);
-            let mut fields: Vec<(String, TraceValue)> = vec![
-                ("tuples".to_string(), ep_tuples[e].into()),
-                ("results".to_string(), ep_results[e].into()),
-                ("acquisitions".to_string(), ep_acq[e].into()),
-                ("energy_uj".to_string(), fleet.into()),
-                ("denergy_uj".to_string(), (fleet - last_energy).into()),
-            ];
-            for (mi, m) in motes.iter().enumerate() {
-                fields.push((format!("mote{}_uj", m.id()), energy[mi][e].into()));
-            }
-            flight.emit_owned(e as u64, start_seq, "epoch.tick", fields);
-            last_energy = fleet;
-        }
-    }
-    flight.emit(
-        epochs as u64,
-        start_seq,
-        "sim.end",
-        &[
-            ("tuples", tuples.into()),
-            ("results", results.into()),
-            ("all_correct", all_correct.into()),
-        ],
-    );
-
-    let per_mote: Vec<EnergyLedger> = motes.iter().map(|m| *m.ledger()).collect();
-    if rec.enabled() {
-        for (m, l) in motes.iter().zip(&per_mote) {
-            let id = m.id();
-            rec.gauge(&format!("sensornet.mote{id}.sensing_uj"), l.sensing_uj);
-            rec.gauge(&format!("sensornet.mote{id}.radio_uj"), l.radio_tx_uj + l.radio_rx_uj);
-            rec.gauge(&format!("sensornet.mote{id}.total_uj"), l.total_uj());
-        }
-    }
-    let report = SimReport::assemble(epochs, tuples, results, all_correct, per_mote);
-    drop(span);
-    report
-}
-
-/// Runs the simulation under a [`FaultModel`]: lossy dissemination and
-/// result reporting with bounded retry + exponential backoff, sensing
-/// failures, and mote dropouts — every retransmission charged to the
-/// energy ledgers and counted under `sensornet.fault.*`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_simulation_faulty(
-    schema: &Schema,
-    query: &Query,
-    planned: &PlannedQuery,
-    motes: &mut [Mote],
-    model: &EnergyModel,
-    epochs: usize,
-    faults: &FaultModel,
-    rec: &Recorder,
-) -> FaultReport {
-    let mut eng = Engine::new(schema, query, planned, motes, model, faults, None, None, None, rec);
-    eng.run(epochs)
-}
-
-/// Like [`run_simulation_faulty`] plus the basestation control loop:
-/// motes piggyback per-predicate evaluated/passed counters on their
-/// uplinks and periodically upload full statistics samples; the
-/// basestation's [`DriftMonitor`] compares actual selectivities against
-/// the plan's estimates, and when divergence crosses the threshold it
-/// re-plans under the planning budget (falling back to `GreedySeq` on
-/// truncation), adopting and re-disseminating the candidate only if it
-/// beats the stale plan under the drifted window.
-#[allow(clippy::too_many_arguments)]
-pub fn run_simulation_adaptive(
-    bs: &Basestation<'_>,
-    query: &Query,
-    planned: &PlannedQuery,
-    motes: &mut [Mote],
-    model: &EnergyModel,
-    epochs: usize,
-    faults: &FaultModel,
-    cfg: &AdaptiveConfig,
-    rec: &Recorder,
-) -> acqp_core::Result<FaultReport> {
-    let monitor = DriftMonitor::new(bs.estimated_selectivities(query), cfg.drift)?;
-    let state = AdaptiveState {
-        bs,
-        cfg,
-        monitor,
-        window: SlidingWindow::new(bs.schema(), cfg.window.max(1)),
-        pend_eval: vec![vec![0; query.len()]; motes.len()],
-        pend_pass: vec![vec![0; query.len()]; motes.len()],
-    };
-    let mut eng = Engine::new(
-        bs.schema(),
-        query,
-        planned,
-        motes,
-        model,
-        faults,
-        Some(state),
-        None,
-        None,
-        rec,
-    );
-    Ok(eng.run(epochs))
-}
-
-/// Like [`run_simulation_adaptive`] (or [`run_simulation_faulty`] when
-/// `adaptive` is `None`) with a crash-prone basestation: at every epoch
-/// in `crash.crash_epochs` — plus independently at `crash.crash_rate`
-/// per epoch on the seeded [`FaultStream::Crash`] stream — the
-/// basestation process dies and restarts, losing all in-memory state.
-///
-/// The restart recovers from `crash.checkpoint_dir` (newest valid
-/// snapshot + idempotent WAL replay; cold start from the genesis plan
-/// when nothing validates) and re-disseminates its current plan to the
-/// whole fleet, with the radio energy charged like any other
-/// dissemination and totalled in
-/// [`CrashReport::recovery_rediss_uj`]. With an empty crash schedule
-/// and zero crash rate the returned [`FaultReport`] is bit-identical
-/// to the non-crashy run's: journaling writes files but never touches
-/// a fault roll or an energy ledger.
-///
-/// Only I/O failures (unwritable checkpoint directory) error; corrupt
-/// snapshots or a torn WAL are recovery *inputs*, absorbed and counted
-/// under `recovery.*`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_simulation_crashy(
-    bs: &Basestation<'_>,
-    query: &Query,
-    planned: &PlannedQuery,
-    motes: &mut [Mote],
-    model: &EnergyModel,
-    epochs: usize,
-    faults: &FaultModel,
-    adaptive: Option<&AdaptiveConfig>,
-    crash: &CrashConfig,
-    rec: &Recorder,
-) -> acqp_core::Result<CrashReport> {
-    let runtime = CrashRuntime::new(crash, rec).map_err(core_err)?;
-    let schema = bs.schema();
-    // The long-lived history estimator models the basestation's warm
-    // in-memory state: arming the drift monitor computes the query's
-    // truth masks once, and checkpoints carry that mask cache so a
-    // recovery can skip re-paying the dataset pass.
-    let hist_est =
-        adaptive.map(|_| CountingEstimator::with_ranges(bs.history(), Ranges::root(schema)));
-    let adaptive_state = match adaptive {
+    opts.validate(mode, motes.len())?;
+    let adaptive = match &opts.adaptive {
+        Some(cfg) => Some(AdaptiveState::new(bs, query, cfg, motes.len())?),
         None => None,
-        Some(cfg) => {
-            let est = hist_est.as_ref().expect("estimator built for adaptive runs above");
-            let monitor = DriftMonitor::new(estimated_selectivities(query, est), cfg.drift)?;
-            Some(AdaptiveState {
-                bs,
-                cfg,
-                monitor,
-                window: SlidingWindow::new(schema, cfg.window.max(1)),
-                pend_eval: vec![vec![0; query.len()]; motes.len()],
-                pend_pass: vec![vec![0; query.len()]; motes.len()],
-            })
-        }
     };
-    let mut eng = Engine::new(
+    let crash = CrashRuntime::new(&opts.crash, rec).map_err(core_err)?;
+    let schema = bs.schema();
+    // Piggybacked counter deltas ride on result packets only when the
+    // adaptive loop is on.
+    let piggyback = if adaptive.is_some() { 2 * query.len() } else { 0 };
+    let mut pred_of: Vec<Option<usize>> = vec![None; schema.len()];
+    for (j, &a) in query.attrs().iter().enumerate() {
+        pred_of[a] = Some(j);
+    }
+    let n = motes.len();
+    let relay = opts
+        .topology
+        .as_ref()
+        .map(|topo| Relay { topo, ledgers: motes.iter().map(|m| *m.ledger()).collect() });
+    let mut eng = Engine {
         schema,
         query,
-        planned,
         motes,
         model,
-        faults,
-        adaptive_state,
-        Some(runtime),
-        hist_est,
+        faults: &opts.faults,
         rec,
-    );
-    let fault = eng.run(epochs);
-    let mut cr = eng.crash.take().expect("crashy runs always carry a crash runtime");
-    if let Some(e) = cr.take_error() {
-        return Err(core_err(e));
-    }
-    Ok(CrashReport {
-        fault,
-        crashes: cr.crashes,
-        cold_starts: cr.cold_starts,
-        corrupt_snapshots: cr.corrupt_snapshots,
-        wal_replayed: cr.wal_replayed,
-        checkpoints_written: cr.checkpoints_written,
-        recovery_rediss_uj: cr.recovery_rediss_uj,
-    })
+        adaptive,
+        crash,
+        windows: (mode == ExecMode::Vectorized).then(|| Windows {
+            prepared: PreparedPlan::new(&planned.plan, query, schema, &CostModel::PerAttribute),
+            exec: BatchExecutor::new(),
+            out: BatchOutcome::default(),
+            truth: Vec::new(),
+            slots: Vec::new(),
+        }),
+        relay,
+        tuples_c: rec.counter("sensornet.tuples"),
+        results_c: rec.counter("sensornet.results"),
+        radio_c: rec.counter("sensornet.radio.msgs"),
+        acq_hist: rec.hist("sensornet.acquisitions_per_tuple"),
+        replan_trig_c: rec.counter("sensornet.replan.triggered"),
+        replan_adopt_c: rec.counter("sensornet.replan.adopted"),
+        stats: FaultStats::new(rec),
+        flight: rec.flight().clone(),
+        start_seq: 0,
+        ep_tuples: 0,
+        ep_results: 0,
+        ep_acq: 0,
+        last_energy: 0.0,
+        sample_bytes: sample_packet_bytes(schema, query),
+        uplink_bytes: result_packet_bytes(schema, query) + piggyback,
+        pred_of,
+        plans: vec![planned.clone()],
+        cur: 0,
+        mote_has: vec![None; n],
+        bs_known: vec![None; n],
+        rep: FaultReport {
+            sim: SimReport { all_correct: true, ..SimReport::default() },
+            ..FaultReport::default()
+        },
+    };
+    let fault = eng.run(epochs)?;
+    eng.crash.into_report(fault).map_err(core_err)
 }
 
+/// The basestation control loop of an adaptive run: motes piggyback
+/// per-predicate evaluated/passed counters on their uplinks and
+/// periodically upload full statistics samples; the [`DriftMonitor`]
+/// compares actual selectivities against the plan's estimates, and when
+/// divergence crosses the threshold the basestation re-plans under the
+/// planning budget (falling back to `GreedySeq` on truncation), adopting
+/// and re-disseminating the candidate only if it beats the stale plan
+/// under the drifted window.
 struct AdaptiveState<'a> {
     bs: &'a Basestation<'a>,
     cfg: &'a AdaptiveConfig,
+    /// The basestation's warm history estimator. Arming the monitor
+    /// computes the query's truth masks once, and checkpoints carry that
+    /// mask cache so a recovery can skip re-paying the dataset pass.
+    hist_est: CountingEstimator<'a>,
     monitor: DriftMonitor,
     window: SlidingWindow,
     /// Per-mote per-predicate counter deltas not yet flushed to the
@@ -576,11 +362,33 @@ struct AdaptiveState<'a> {
     pend_pass: Vec<Vec<u64>>,
 }
 
-impl AdaptiveState<'_> {
+impl<'a> AdaptiveState<'a> {
+    /// Arms the control loop for `query` over a fleet of `motes`. The
+    /// monitor starts from the history estimator's selectivities — the
+    /// values [`Basestation::estimated_selectivities`] computes.
+    fn new(
+        bs: &'a Basestation<'a>,
+        query: &Query,
+        cfg: &'a AdaptiveConfig,
+        motes: usize,
+    ) -> Result<Self> {
+        let hist_est = CountingEstimator::with_ranges(bs.history(), Ranges::root(bs.schema()));
+        let monitor = DriftMonitor::new(estimated_selectivities(query, &hist_est), cfg.drift)?;
+        Ok(AdaptiveState {
+            bs,
+            cfg,
+            hist_est,
+            monitor,
+            window: SlidingWindow::new(bs.schema(), cfg.window.max(1)),
+            pend_eval: vec![vec![0; query.len()]; motes],
+            pend_pass: vec![vec![0; query.len()]; motes],
+        })
+    }
+
     /// Flushes mote `i`'s pending predicate counters into the monitor —
     /// called only when an uplink from `i` was actually delivered.
-    /// Crashy runs journal each flushed delta before applying it, so a
-    /// crash replays exactly the counts the monitor had absorbed.
+    /// Journaling runs record each flushed delta before applying it, so
+    /// a crash replays exactly the counts the monitor had absorbed.
     fn flush_counters(&mut self, i: usize, mut journal: Option<&mut Journal>) {
         for j in 0..self.pend_eval[i].len() {
             let (e, p) = (self.pend_eval[i][j], self.pend_pass[i][j]);
@@ -598,15 +406,14 @@ impl AdaptiveState<'_> {
 
 /// Emits a `fault.retry` flight event for any packet needing more than
 /// one attempt or lost outright. Lossless runs (first attempt always
-/// delivers) emit none — which keeps their traces identical across
-/// scalar and vectorized exec modes.
+/// delivers) emit none.
 pub(crate) fn emit_retry(
     flight: &FlightRecorder,
     cause: u64,
     e: usize,
     stream: &str,
     mote: u16,
-    d: &crate::fault::Delivery,
+    d: &Delivery,
 ) {
     if d.attempts > 1 || !d.delivered {
         flight.emit(
@@ -623,9 +430,73 @@ pub(crate) fn emit_retry(
     }
 }
 
-/// The shared engine behind every simulation entry point, stepped one
-/// epoch at a time so the crashy runner can interpose crashes at epoch
-/// boundaries without duplicating the loop.
+/// The vectorized strategy: the prepared plan, one batch executor, and
+/// the current window of at most [`BATCH_ROWS`] epochs for every mote,
+/// laid out epoch-major — mote `i`'s slot at epoch `e` sits at
+/// `(e % BATCH_ROWS) * motes + i` — so each epoch of the loop reads one
+/// contiguous run of slots.
+struct Windows {
+    prepared: PreparedPlan,
+    exec: BatchExecutor,
+    out: BatchOutcome,
+    truth: Vec<bool>,
+    slots: Vec<Slot>,
+}
+
+/// One mote-epoch of a window: the batch executor's verdict and
+/// acquisition-chain span (into the prepared plan's arena) and the
+/// columnar ground truth.
+#[derive(Clone, Copy, Default)]
+struct Slot {
+    verdict: bool,
+    truth: bool,
+    start: u32,
+    len: u32,
+}
+
+impl Windows {
+    /// Replaces the window with epochs `from..end`, each mote's clipped
+    /// to its trace.
+    fn refill(&mut self, query: &Query, motes: &[Mote], from: usize, end: usize) {
+        let n = motes.len();
+        self.slots.resize((end - from) * n, Slot::default());
+        for (i, m) in motes.iter().enumerate() {
+            let rows = end.min(m.epochs()).saturating_sub(from);
+            if rows == 0 {
+                continue;
+            }
+            let batch = ColumnBatch::slice(m.trace(), from, rows);
+            self.exec.execute_batch(&self.prepared, &batch, None, &mut self.out);
+            truth_columnar(query, &batch, &mut self.truth);
+            for (s, &truth) in self.truth.iter().enumerate() {
+                let (start, len) = self.out.chain_span(s);
+                self.slots[s * n + i] = Slot { verdict: self.out.verdict(s), truth, start, len };
+            }
+        }
+    }
+}
+
+/// The multihop radio model: the collection tree and the radio ledgers
+/// it charges. Sensing and board energy stay in each mote's own ledger;
+/// [`Relay::sync`] copies the tree's radio totals back into the motes
+/// after every charging round.
+struct Relay<'a> {
+    topo: &'a Topology,
+    ledgers: Vec<EnergyLedger>,
+}
+
+impl Relay<'_> {
+    fn sync(&self, motes: &mut [Mote]) {
+        for (m, l) in motes.iter_mut().zip(&self.ledgers) {
+            let ml = m.ledger_mut();
+            ml.radio_rx_uj = l.radio_rx_uj;
+            ml.radio_tx_uj = l.radio_tx_uj;
+        }
+    }
+}
+
+/// The one simulation loop, stepped one epoch at a time so crashes
+/// land at epoch boundaries.
 struct Engine<'a> {
     schema: &'a Schema,
     query: &'a Query,
@@ -634,10 +505,11 @@ struct Engine<'a> {
     faults: &'a FaultModel,
     rec: &'a Recorder,
     adaptive: Option<AdaptiveState<'a>>,
-    crash: Option<CrashRuntime<'a>>,
-    /// The basestation's warm history estimator (crashy adaptive runs
-    /// only) — rebuilt, and its mask cache re-seeded, on recovery.
-    hist_est: Option<CountingEstimator<'a>>,
+    crash: CrashRuntime<'a>,
+    /// Vectorized runs only.
+    windows: Option<Windows>,
+    /// The collection tree (multihop runs only).
+    relay: Option<Relay<'a>>,
 
     // Pre-hoisted instruments.
     tuples_c: Counter,
@@ -680,93 +552,16 @@ struct Engine<'a> {
     /// recovery re-dissemination.
     bs_known: Vec<Option<usize>>,
 
-    // Accounting.
-    tuples: usize,
-    results: usize,
-    all_correct: bool,
-    delivered_results: usize,
-    lost_results: usize,
-    aborted_tuples: usize,
-    offline_epochs: usize,
-    undisseminated_epochs: usize,
-    samples_delivered: usize,
-    bs_tx_uj: f64,
-    replans: Vec<ReplanEvent>,
+    /// The report, accumulated as the run goes; `finish` adds the
+    /// ledgers.
+    rep: FaultReport,
 }
 
-impl<'a> Engine<'a> {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        schema: &'a Schema,
-        query: &'a Query,
-        planned: &PlannedQuery,
-        motes: &'a mut [Mote],
-        model: &'a EnergyModel,
-        faults: &'a FaultModel,
-        adaptive: Option<AdaptiveState<'a>>,
-        crash: Option<CrashRuntime<'a>>,
-        hist_est: Option<CountingEstimator<'a>>,
-        rec: &'a Recorder,
-    ) -> Engine<'a> {
-        let result_bytes = result_packet_bytes(schema, query);
-        let sample_bytes = sample_packet_bytes(schema, query);
-        // Piggybacked counter deltas ride on result packets only when
-        // the adaptive loop is on (the plain simulators don't collect
-        // stats).
-        let uplink_bytes = result_bytes + if adaptive.is_some() { 2 * query.len() } else { 0 };
-        let mut pred_of: Vec<Option<usize>> = vec![None; schema.len()];
-        for (j, &a) in query.attrs().iter().enumerate() {
-            pred_of[a] = Some(j);
-        }
-        let n = motes.len();
-        Engine {
-            schema,
-            query,
-            motes,
-            model,
-            faults,
-            rec,
-            adaptive,
-            crash,
-            hist_est,
-            tuples_c: rec.counter("sensornet.tuples"),
-            results_c: rec.counter("sensornet.results"),
-            radio_c: rec.counter("sensornet.radio.msgs"),
-            acq_hist: rec.hist("sensornet.acquisitions_per_tuple"),
-            replan_trig_c: rec.counter("sensornet.replan.triggered"),
-            replan_adopt_c: rec.counter("sensornet.replan.adopted"),
-            stats: FaultStats::new(rec),
-            flight: rec.flight().clone(),
-            start_seq: 0,
-            ep_tuples: 0,
-            ep_results: 0,
-            ep_acq: 0,
-            last_energy: 0.0,
-            sample_bytes,
-            uplink_bytes,
-            pred_of,
-            plans: vec![planned.clone()],
-            cur: 0,
-            mote_has: vec![None; n],
-            bs_known: vec![None; n],
-            tuples: 0,
-            results: 0,
-            all_correct: true,
-            delivered_results: 0,
-            lost_results: 0,
-            aborted_tuples: 0,
-            offline_epochs: 0,
-            undisseminated_epochs: 0,
-            samples_delivered: 0,
-            bs_tx_uj: 0.0,
-            replans: Vec::new(),
-        }
-    }
-
+impl Engine<'_> {
     /// Drives the full run: initial dissemination, `epochs` stepped
-    /// epochs (with crash checks when a crash runtime is attached), and
-    /// the final report.
-    fn run(&mut self, epochs: usize) -> FaultReport {
+    /// epochs (crash checks, re-dissemination, execution, drift check,
+    /// journaling, tick), and the final report.
+    fn run(&mut self, epochs: usize) -> Result<FaultReport> {
         let span = self.rec.span("sensornet.simulate");
         self.start_seq = self.flight.emit(
             0,
@@ -774,7 +569,8 @@ impl<'a> Engine<'a> {
             "sim.start",
             &[("motes", self.motes.len().into()), ("epochs", epochs.into())],
         );
-        self.disseminate_initial();
+        // The initial round runs even for a zero-epoch simulation.
+        self.disseminate(0);
         if self.flight.enabled() {
             let delivered = self.mote_has.iter().filter(|v| v.is_some()).count();
             self.last_energy = self.fleet_total_uj();
@@ -782,7 +578,7 @@ impl<'a> Engine<'a> {
                 0,
                 self.start_seq,
                 "sim.disseminate",
-                &[("delivered", delivered.into()), ("bs_tx_uj", self.bs_tx_uj.into())],
+                &[("delivered", delivered.into()), ("bs_tx_uj", self.rep.bs_tx_uj.into())],
             );
         }
         for e in 0..epochs {
@@ -790,79 +586,74 @@ impl<'a> Engine<'a> {
             // restarts between epochs, never mid-tuple. Epoch 0 cannot
             // crash — before the initial dissemination there is no
             // state to lose.
-            let crashed = e > 0 && self.crash_scheduled(e);
-            if crashed {
-                self.crash_and_recover(e);
+            if e > 0 && self.crash_scheduled(e) {
+                self.crash_and_recover(e)?;
+                let (tx0, rx0) = (self.rep.bs_tx_uj, self.mote_rx_total());
+                self.disseminate(e);
+                let delta = (self.rep.bs_tx_uj - tx0) + (self.mote_rx_total() - rx0);
+                self.crash.recovery_rediss_uj += delta;
+            } else if e > 0 {
+                self.disseminate(e);
             }
-            let pre_rediss =
-                if crashed { Some((self.bs_tx_uj, self.mote_rx_total())) } else { None };
-            if e > 0 {
-                self.redisseminate(e);
+            if let Some(w) = self.windows.as_mut().filter(|_| e % BATCH_ROWS == 0) {
+                w.refill(self.query, self.motes, e, epochs.min(e + BATCH_ROWS));
             }
-            if let Some((tx0, rx0)) = pre_rediss {
-                let delta = (self.bs_tx_uj - tx0) + (self.mote_rx_total() - rx0);
-                if let Some(cr) = self.crash.as_mut() {
-                    cr.recovery_rediss_uj += delta;
-                }
-            }
-            self.run_motes(e);
-            self.drift_check(e);
+            self.run_motes(e)?;
+            self.drift_check(e)?;
             self.journal_epoch_end(e);
             self.epoch_tick(e);
         }
         let report = self.finish(epochs);
         drop(span);
-        report
+        Ok(report)
     }
 
-    /// Initial dissemination round (epoch 0 on the fault clock). Runs
-    /// even for a zero-epoch simulation, exactly like the pre-fault
-    /// simulator.
-    fn disseminate_initial(&mut self) {
-        let flight = self.flight.clone();
-        let root = self.start_seq;
-        for (i, m) in self.motes.iter_mut().enumerate() {
-            if !self.faults.online(m.id(), 0) {
-                continue;
-            }
-            let d = attempt_packet(self.faults, FaultStream::Dissemination, m.id(), 0, &self.stats);
-            emit_retry(&flight, root, 0, "diss", m.id(), &d);
-            self.bs_tx_uj += (d.attempts as usize * self.plans[self.cur].wire.len()) as f64
-                * self.model.radio_tx_uj_per_byte;
-            self.radio_c.incr(d.attempts as u64);
-            if d.delivered {
-                m.receive(self.plans[self.cur].wire.len(), self.model);
-                self.mote_has[i] = Some(self.cur);
-                self.bs_known[i] = Some(self.cur);
-            }
+    /// One dissemination round at epoch `e`: every online mote the
+    /// basestation believes to lag the current plan gets a fresh
+    /// attempt window — the whole fleet at epoch 0. Single-hop runs
+    /// charge every attempt to the basestation and every delivery to
+    /// its mote; a multihop run floods the plan down its tree instead.
+    fn disseminate(&mut self, e: usize) {
+        if self.bs_known.iter().all(|k| *k == Some(self.cur)) {
+            return;
         }
-    }
-
-    /// Re-dissemination: any mote the basestation believes to lag the
-    /// current plan gets a fresh per-epoch attempt window (the initial
-    /// round already consumed epoch 0's).
-    fn redisseminate(&mut self, e: usize) {
         let flight = self.flight.clone();
         let root = self.start_seq;
+        let bytes = self.plans[self.cur].wire.len();
+        let mut flooded = false;
         for (i, m) in self.motes.iter_mut().enumerate() {
             if self.bs_known[i] == Some(self.cur) || !self.faults.online(m.id(), e) {
                 continue;
             }
             let d = attempt_packet(self.faults, FaultStream::Dissemination, m.id(), e, &self.stats);
             emit_retry(&flight, root, e, "diss", m.id(), &d);
-            self.bs_tx_uj += (d.attempts as usize * self.plans[self.cur].wire.len()) as f64
-                * self.model.radio_tx_uj_per_byte;
             self.radio_c.incr(d.attempts as u64);
+            if self.relay.is_none() {
+                self.rep.bs_tx_uj +=
+                    (d.attempts as usize * bytes) as f64 * self.model.radio_tx_uj_per_byte;
+            }
             if d.delivered {
-                m.receive(self.plans[self.cur].wire.len(), self.model);
+                if self.relay.is_none() {
+                    m.receive(bytes, self.model);
+                }
+                flooded = true;
                 self.mote_has[i] = Some(self.cur);
                 self.bs_known[i] = Some(self.cur);
             }
         }
+        if let Some(r) = self.relay.as_mut().filter(|_| flooded) {
+            self.rep.bs_tx_uj += r.topo.charge_dissemination(bytes, self.model, &mut r.ledgers);
+            r.sync(self.motes);
+        }
     }
 
     /// One epoch of plan execution and uplinks across the fleet.
-    fn run_motes(&mut self, e: usize) {
+    fn run_motes(&mut self, e: usize) -> Result<()> {
+        let n = self.motes.len();
+        let window = self.windows.as_ref().map(|w| {
+            let base = (e % BATCH_ROWS) * n;
+            (&w.prepared, &w.slots[base..base + n])
+        });
         let flight = self.flight.clone();
         let root = self.start_seq;
         for (i, m) in self.motes.iter_mut().enumerate() {
@@ -872,38 +663,46 @@ impl<'a> Engine<'a> {
             let id = m.id();
             if !self.faults.online(id, e) {
                 self.stats.offline_epochs.incr(1);
-                self.offline_epochs += 1;
+                self.rep.offline_epochs += 1;
                 continue;
             }
             let Some(ver) = self.mote_has[i] else {
-                self.undisseminated_epochs += 1;
+                self.rep.undisseminated_epochs += 1;
                 continue;
             };
-            self.tuples += 1;
-            self.tuples_c.incr(1);
+            self.rep.sim.tuples += 1;
             self.ep_tuples += 1;
-            let wire = &self.plans[ver].wire;
-            let (out, aborted) = {
-                let src = m.epoch_source(e, self.schema, self.model);
-                let mut fsrc = FaultySource::new(src, self.faults, &self.stats, id, e);
-                let out = execute_wire(wire, self.query, self.schema, &mut fsrc)
-                    .expect("basestation-produced wire plans are well-formed");
-                (out, fsrc.aborted())
+            let scalar;
+            let (verdict, acquired, aborted, truth) = match window {
+                Some((prepared, slots)) => {
+                    let s = slots[i];
+                    let chain = prepared.chain(s.start, s.len);
+                    m.charge_epoch(chain, self.schema, self.model);
+                    (s.verdict, chain, false, s.truth)
+                }
+                None => {
+                    let src = m.epoch_source(e, self.schema, self.model);
+                    let mut fsrc = FaultySource::new(src, self.faults, &self.stats, id, e);
+                    scalar =
+                        execute_wire(&self.plans[ver].wire, self.query, self.schema, &mut fsrc)?;
+                    let aborted = fsrc.aborted();
+                    let truth = !aborted && self.query.eval_with(|a| m.peek(e, a));
+                    (scalar.verdict, scalar.acquired.as_slice(), aborted, truth)
+                }
             };
-            self.acq_hist.observe(out.acquired.len() as u64);
-            self.ep_acq += out.acquired.len() as u64;
+            self.acq_hist.observe(acquired.len() as u64);
+            self.ep_acq += acquired.len() as u64;
             if aborted {
-                self.aborted_tuples += 1;
+                self.rep.aborted_tuples += 1;
                 continue;
             }
-            let truth = self.query.eval_with(|a| m.peek(e, a));
-            self.all_correct &= out.verdict == truth;
+            self.rep.sim.all_correct &= verdict == truth;
 
             // Every acquired attribute with a predicate yields one
             // evaluated/held observation for the drift monitor,
             // buffered until an uplink actually gets through.
             if let Some(st) = self.adaptive.as_mut() {
-                for &a in &out.acquired {
+                for &a in acquired {
                     if let Some(j) = self.pred_of[a] {
                         st.pend_eval[i][j] += 1;
                         st.pend_pass[i][j] += u64::from(self.query.pred(j).eval(m.peek(e, a)));
@@ -911,21 +710,24 @@ impl<'a> Engine<'a> {
                 }
             }
 
-            if out.verdict {
-                self.results += 1;
-                self.results_c.incr(1);
+            if verdict {
+                self.rep.sim.results += 1;
                 self.ep_results += 1;
                 let d = attempt_packet(self.faults, FaultStream::Result, id, e, &self.stats);
                 emit_retry(&flight, root, e, "result", id, &d);
-                m.transmit(d.attempts as usize * self.uplink_bytes, self.model);
+                let bytes = d.attempts as usize * self.uplink_bytes;
+                match self.relay.as_mut() {
+                    None => m.transmit(bytes, self.model),
+                    Some(r) => r.topo.charge_result(i, bytes, self.model, &mut r.ledgers),
+                }
                 self.radio_c.incr(d.attempts as u64);
                 if d.delivered {
-                    self.delivered_results += 1;
+                    self.rep.delivered_results += 1;
                     if let Some(st) = self.adaptive.as_mut() {
-                        st.flush_counters(i, self.crash.as_mut().and_then(|c| c.journal.as_mut()));
+                        st.flush_counters(i, self.crash.journal.as_mut());
                     }
                 } else {
-                    self.lost_results += 1;
+                    self.rep.lost_results += 1;
                 }
             }
 
@@ -940,7 +742,7 @@ impl<'a> Engine<'a> {
                         let src = m.epoch_source(e, self.schema, self.model);
                         let mut fsrc = FaultySource::new(src, self.faults, &self.stats, id, e);
                         for a in 0..self.schema.len() {
-                            if !out.acquired.contains(&a) {
+                            if !acquired.contains(&a) {
                                 fsrc.acquire(a);
                                 if fsrc.aborted() {
                                     sample_aborted = true;
@@ -956,10 +758,10 @@ impl<'a> Engine<'a> {
                         m.transmit(d.attempts as usize * self.sample_bytes, self.model);
                         self.radio_c.incr(d.attempts as u64);
                         if d.delivered {
-                            self.samples_delivered += 1;
+                            self.rep.samples_delivered += 1;
                             let row: Vec<u16> =
                                 (0..self.schema.len()).map(|a| m.peek(e, a)).collect();
-                            let mut journal = self.crash.as_mut().and_then(|c| c.journal.as_mut());
+                            let mut journal = self.crash.journal.as_mut();
                             if let Some(jr) = journal.as_deref_mut() {
                                 jr.append(&WalRecord::WindowPush { row: row.clone() });
                             }
@@ -970,97 +772,91 @@ impl<'a> Engine<'a> {
                 }
             }
         }
+        if let Some(r) = &self.relay {
+            r.sync(self.motes);
+        }
+        Ok(())
     }
 
     /// Basestation drift check at epoch end.
-    fn drift_check(&mut self, e: usize) {
-        let Some(st) = self.adaptive.as_mut() else { return };
+    fn drift_check(&mut self, e: usize) -> Result<()> {
+        let Some(st) = self.adaptive.as_mut() else { return Ok(()) };
         let k = st.cfg.check_every.max(1);
-        if (e + 1).is_multiple_of(k)
+        if !((e + 1).is_multiple_of(k)
             && st.monitor.drifted()
-            && st.window.len() >= st.cfg.min_window.max(1)
+            && st.window.len() >= st.cfg.min_window.max(1))
         {
-            self.replan_trig_c.incr(1);
-            let divergence = st.monitor.max_divergence();
-            let window = st
-                .window
-                .snapshot(self.schema)
-                .expect("window rows come from schema-shaped traces");
-            let outcome = st
-                .bs
-                .replan(self.query, &window, &st.cfg.budget, st.cfg.alpha, &self.plans[self.cur])
-                .expect("re-planning a valid query cannot fail");
-            self.replans.push(ReplanEvent {
-                epoch: e,
-                divergence,
-                adopted: outcome.adopted,
-                truncated: outcome.truncated,
-                fell_back: outcome.fell_back,
-                stale_cost: outcome.stale_cost,
-                new_cost: outcome.new_cost,
-            });
-            self.flight.emit(
-                e as u64,
-                self.start_seq,
-                "plan.replan",
-                &[
-                    ("divergence", divergence.into()),
-                    ("adopted", outcome.adopted.into()),
-                    ("truncated", outcome.truncated.into()),
-                    ("fell_back", outcome.fell_back.into()),
-                    ("stale_cost", outcome.stale_cost.into()),
-                    ("new_cost", outcome.new_cost.into()),
-                ],
-            );
-            // Either way the monitor is re-armed with the window's
-            // estimates — they are the basestation's current belief.
-            st.monitor.reset(outcome.est_selectivities.clone());
-            if outcome.adopted {
-                self.replan_adopt_c.incr(1);
-                self.plans.push(outcome.planned);
-                self.cur = self.plans.len() - 1;
-                // Every mote now lags; re-dissemination starts at the
-                // top of the next epoch. Journal the adoption so a
-                // crash restores this version, not the genesis plan.
-                if let Some(jr) = self.crash.as_mut().and_then(|c| c.journal.as_mut()) {
-                    let p = &self.plans[self.cur];
-                    jr.append(&WalRecord::PlanAdopted {
-                        plan: PlanRecord {
-                            version: self.cur as u64,
-                            wire: p.wire.clone(),
-                            expected_cost: p.expected_cost,
-                            objective: p.objective,
-                        },
-                        est_selectivities: outcome.est_selectivities,
-                    });
-                }
+            return Ok(());
+        }
+        self.replan_trig_c.incr(1);
+        let divergence = st.monitor.max_divergence();
+        let window = st.window.snapshot(self.schema)?;
+        let outcome = st.bs.replan(
+            self.query,
+            &window,
+            &st.cfg.budget,
+            st.cfg.alpha,
+            &self.plans[self.cur],
+        )?;
+        self.rep.replans.push(ReplanEvent {
+            epoch: e,
+            divergence,
+            adopted: outcome.adopted,
+            truncated: outcome.truncated,
+            fell_back: outcome.fell_back,
+            stale_cost: outcome.stale_cost,
+            new_cost: outcome.new_cost,
+        });
+        self.flight.emit(
+            e as u64,
+            self.start_seq,
+            "plan.replan",
+            &[
+                ("divergence", divergence.into()),
+                ("adopted", outcome.adopted.into()),
+                ("truncated", outcome.truncated.into()),
+                ("fell_back", outcome.fell_back.into()),
+                ("stale_cost", outcome.stale_cost.into()),
+                ("new_cost", outcome.new_cost.into()),
+            ],
+        );
+        // Either way the monitor is re-armed with the window's
+        // estimates — they are the basestation's current belief.
+        st.monitor.reset(outcome.est_selectivities.clone());
+        if outcome.adopted {
+            self.replan_adopt_c.incr(1);
+            self.plans.push(outcome.planned);
+            self.cur = self.plans.len() - 1;
+            // Every mote now lags; re-dissemination starts at the top
+            // of the next epoch. Journal the adoption so a crash
+            // restores this version, not the genesis plan.
+            if let Some(jr) = self.crash.journal.as_mut() {
+                jr.append(&WalRecord::PlanAdopted {
+                    plan: plan_record(self.cur, &self.plans[self.cur]),
+                    est_selectivities: outcome.est_selectivities,
+                });
             }
         }
+        Ok(())
     }
 
     /// Journals the epoch boundary and writes a snapshot when the
     /// checkpoint cadence is due.
     fn journal_epoch_end(&mut self, e: usize) {
-        let Some(cr) = self.crash.as_mut() else { return };
+        let cr = &mut self.crash;
         let Some(journal) = cr.journal.as_mut() else { return };
         journal.append(&WalRecord::EpochEnd { epoch: e as u64 });
         let every = cr.cfg.checkpoint_every;
         if every == 0 || !(e + 1).is_multiple_of(every) {
             return;
         }
-        let p = &self.plans[self.cur];
         let cp = BasestationCheckpoint {
             epoch: e as u64,
             last_seq: journal.folded_seq(),
-            plan: PlanRecord {
-                version: self.cur as u64,
-                wire: p.wire.clone(),
-                expected_cost: p.expected_cost,
-                objective: p.objective,
-            },
+            plan: plan_record(self.cur, &self.plans[self.cur]),
             drift: self.adaptive.as_ref().map(|st| (st.cfg.drift, st.monitor.state())),
             window: self.adaptive.as_ref().map(|st| st.window.state()),
-            mask_cache: self.hist_est.as_ref().and_then(|est| est.cached_masks()),
+            mask_cache: self.adaptive.as_ref().and_then(|st| st.hist_est.cached_masks()),
             ledgers: self
                 .motes
                 .iter()
@@ -1086,10 +882,10 @@ impl<'a> Engine<'a> {
     /// Whether a crash is injected at the start of epoch `e`: scheduled
     /// explicitly, or drawn from the seeded crash stream.
     fn crash_scheduled(&self, e: usize) -> bool {
-        let Some(cr) = &self.crash else { return false };
-        cr.cfg.crash_epochs.contains(&e)
-            || (cr.cfg.crash_rate > 0.0
-                && self.faults.roll(FaultStream::Crash, 0, e, 0, 0) < cr.cfg.crash_rate)
+        let cfg = self.crash.cfg;
+        cfg.crash_epochs.contains(&e)
+            || (cfg.crash_rate > 0.0
+                && self.faults.roll(FaultStream::Crash, 0, e, 0, 0) < cfg.crash_rate)
     }
 
     /// Kills and restarts the basestation: wipes its process memory
@@ -1099,14 +895,12 @@ impl<'a> Engine<'a> {
     /// when nothing validates. Mote-side state (`mote_has`, energy
     /// ledgers, pending piggyback counters) survives untouched: those
     /// live in the field, not in the crashed process.
-    fn crash_and_recover(&mut self, e: usize) {
+    fn crash_and_recover(&mut self, e: usize) -> Result<()> {
         let down_seq = self.flight.emit(e as u64, self.start_seq, "crash.down", &[]);
-        let Some(cr) = self.crash.as_mut() else { return };
-        cr.crashes += 1;
-        cr.counters.attempted.incr(1);
         for v in self.bs_known.iter_mut() {
             *v = None;
         }
+        let cr = &mut self.crash;
         let recovered = match cr.journal.as_mut() {
             Some(j) => j.recover(),
             None => RecoveredState::genesis(),
@@ -1118,14 +912,7 @@ impl<'a> Engine<'a> {
             recovered.snapshots_scanned,
         );
         let rec_cp_epoch = recovered.checkpoint.as_ref().map(|cp| cp.epoch);
-        cr.corrupt_snapshots += recovered.corrupt_snapshots;
-        cr.counters.corrupt.incr(recovered.corrupt_snapshots as u64);
-        if recovered.cold_start {
-            cr.cold_starts += 1;
-            cr.counters.cold_start.incr(1);
-        }
-        cr.wal_replayed += recovered.replayed.len();
-        cr.counters.wal_replayed.incr(recovered.replayed.len() as u64);
+        cr.count_recovery(rec_cold, rec_corrupt, rec_replayed);
 
         // Plan version from the checkpoint, genesis otherwise. Clamped
         // defensively: a version beyond what this run ever disseminated
@@ -1136,25 +923,24 @@ impl<'a> Engine<'a> {
             .map(|cp| (cp.plan.version as usize).min(self.plans.len() - 1))
             .unwrap_or(0);
 
-        // Rebuild the history estimator the restarted basestation
-        // needs, seeding its mask cache from the checkpoint when it
-        // matches this query — recovery then skips the full dataset
-        // pass the cold path would re-pay.
-        if let (Some(est), Some(st)) = (self.hist_est.as_mut(), self.adaptive.as_ref()) {
-            *est = CountingEstimator::with_ranges(st.bs.history(), Ranges::root(self.schema));
+        if let Some(st) = self.adaptive.as_mut() {
+            // Rebuild the history estimator the restarted basestation
+            // needs, seeding its mask cache from the checkpoint when it
+            // matches this query — recovery then skips the full dataset
+            // pass the cold path would re-pay.
+            st.hist_est =
+                CountingEstimator::with_ranges(st.bs.history(), Ranges::root(self.schema));
             if let Some((q, masks)) =
                 recovered.checkpoint.as_ref().and_then(|cp| cp.mask_cache.clone())
             {
-                if &q == self.query && est.seed_masks(q, masks) {
+                if &q == self.query && st.hist_est.seed_masks(q, masks) {
                     cr.counters.masks_seeded.incr(1);
                 }
             }
-        }
 
-        // Monitor and window: checkpoint state when it validates and
-        // matches this query's shape, genesis otherwise. The pending
-        // piggyback buffers are mote-side and survive as-is.
-        if let Some(st) = self.adaptive.as_mut() {
+            // Monitor and window: checkpoint state when it validates and
+            // matches this query's shape, genesis otherwise. The pending
+            // piggyback buffers are mote-side and survive as-is.
             let from_cp = recovered
                 .checkpoint
                 .as_ref()
@@ -1163,14 +949,10 @@ impl<'a> Engine<'a> {
                 .filter(|m| m.len() == self.query.len());
             st.monitor = match from_cp {
                 Some(m) => m,
-                None => {
-                    let est = self
-                        .hist_est
-                        .as_ref()
-                        .expect("crashy adaptive runs hold a history estimator");
-                    DriftMonitor::new(estimated_selectivities(self.query, est), st.cfg.drift)
-                        .expect("a non-empty query always arms a monitor")
-                }
+                None => DriftMonitor::new(
+                    estimated_selectivities(self.query, &st.hist_est),
+                    st.cfg.drift,
+                )?,
             };
             st.window = recovered
                 .checkpoint
@@ -1185,35 +967,26 @@ impl<'a> Engine<'a> {
         // shape-checked — a checksum collision on hostile bytes must
         // degrade to a skipped record, never an out-of-bounds panic.
         for r in recovered.replayed {
-            match r {
-                WalRecord::Observe { pred, evaluated, passed } => {
-                    if let Some(st) = self.adaptive.as_mut() {
-                        let j = pred as usize;
-                        if j < self.query.len() && passed <= evaluated {
-                            st.monitor.observe_counts(j, evaluated, passed);
-                        }
-                    }
+            let (preds, width) = (self.query.len(), self.schema.len());
+            match (r, self.adaptive.as_mut()) {
+                (WalRecord::Observe { pred, evaluated, passed }, Some(st))
+                    if usize::from(pred) < preds && passed <= evaluated =>
+                {
+                    st.monitor.observe_counts(usize::from(pred), evaluated, passed);
                 }
-                WalRecord::WindowPush { row } => {
-                    if let Some(st) = self.adaptive.as_mut() {
-                        if row.len() == self.schema.len() {
-                            st.window.push(row);
-                        }
-                    }
+                (WalRecord::WindowPush { row }, Some(st)) if row.len() == width => {
+                    st.window.push(row);
                 }
-                WalRecord::PlanAdopted { plan, est_selectivities } => {
+                (WalRecord::PlanAdopted { plan, est_selectivities }, st) => {
                     self.cur = (plan.version as usize).min(self.plans.len() - 1);
-                    if let Some(st) = self.adaptive.as_mut() {
-                        if est_selectivities.len() == self.query.len() {
-                            st.monitor.reset(est_selectivities);
-                        }
+                    if let Some(st) = st.filter(|_| est_selectivities.len() == preds) {
+                        st.monitor.reset(est_selectivities);
                     }
                 }
-                // Serve records in a single-query directory are stale
-                // bytes from another run flavor: shape-checked, skipped.
-                WalRecord::EpochEnd { .. }
-                | WalRecord::ServeAdmit { .. }
-                | WalRecord::ServeComplete { .. } => {}
+                // Epoch marks carry nothing to fold; serve records in a
+                // single-query directory are stale bytes from another
+                // run flavor. Both are skipped.
+                _ => {}
             }
         }
         self.flight.emit(
@@ -1228,26 +1001,34 @@ impl<'a> Engine<'a> {
                 ("snapshots_scanned", rec_scanned.into()),
                 (
                     "checkpoint_epoch",
-                    rec_cp_epoch.map(i64::try_from).and_then(Result::ok).unwrap_or(-1).into(),
+                    rec_cp_epoch.and_then(|v| i64::try_from(v).ok()).unwrap_or(-1).into(),
                 ),
             ],
         );
+        Ok(())
     }
 
-    /// Fleet energy total in mote-index order — the vectorized path
-    /// sums the same per-mote values in the same order, so per-epoch
-    /// ticks match bitwise across exec modes.
+    /// Fleet energy total in mote-index order.
     fn fleet_total_uj(&self) -> f64 {
         self.motes.iter().fold(0.0, |acc, m| acc + m.ledger().total_uj())
     }
 
-    /// Emits the per-epoch `epoch.tick` time-series event and resets
-    /// the epoch accumulators. No wall clock anywhere: every field is
-    /// a deterministic function of the seeded run.
+    /// Closes epoch `e`: flushes the epoch's tuple and result counts
+    /// into their counters, emits the `epoch.tick` time-series event,
+    /// and resets the epoch accumulators. No wall clock anywhere: every
+    /// field is a deterministic function of the seeded run.
     fn epoch_tick(&mut self, e: usize) {
-        if !self.flight.enabled() {
-            return;
+        self.tuples_c.incr(self.ep_tuples);
+        self.results_c.incr(self.ep_results);
+        if self.flight.enabled() {
+            self.emit_tick(e);
         }
+        self.ep_tuples = 0;
+        self.ep_results = 0;
+        self.ep_acq = 0;
+    }
+
+    fn emit_tick(&mut self, e: usize) {
         let fleet = self.fleet_total_uj();
         let mut fields: Vec<(String, TraceValue)> = vec![
             ("tuples".to_string(), self.ep_tuples.into()),
@@ -1270,9 +1051,6 @@ impl<'a> Engine<'a> {
         }
         self.flight.emit_owned(e as u64, self.start_seq, "epoch.tick", fields);
         self.last_energy = fleet;
-        self.ep_tuples = 0;
-        self.ep_results = 0;
-        self.ep_acq = 0;
     }
 
     /// Total radio receive energy across the fleet — used to attribute
@@ -1281,7 +1059,7 @@ impl<'a> Engine<'a> {
         self.motes.iter().map(|m| m.ledger().radio_rx_uj).sum()
     }
 
-    /// Emits per-mote gauges and assembles the final report.
+    /// Emits per-mote gauges and completes the report with the ledgers.
     fn finish(&mut self, epochs: usize) -> FaultReport {
         let per_mote: Vec<EnergyLedger> = self.motes.iter().map(|m| *m.ledger()).collect();
         if self.rec.enabled() {
@@ -1293,90 +1071,46 @@ impl<'a> Engine<'a> {
                 self.rec.gauge(&format!("sensornet.mote{id}.total_uj"), l.total_uj());
             }
         }
+        let mut rep = std::mem::take(&mut self.rep);
         self.flight.emit(
             epochs as u64,
             self.start_seq,
             "sim.end",
             &[
-                ("tuples", self.tuples.into()),
-                ("results", self.results.into()),
-                ("all_correct", self.all_correct.into()),
+                ("tuples", rep.sim.tuples.into()),
+                ("results", rep.sim.results.into()),
+                ("all_correct", rep.sim.all_correct.into()),
             ],
         );
-        FaultReport {
-            sim: SimReport::assemble(epochs, self.tuples, self.results, self.all_correct, per_mote),
-            delivered_results: self.delivered_results,
-            lost_results: self.lost_results,
-            aborted_tuples: self.aborted_tuples,
-            offline_epochs: self.offline_epochs,
-            undisseminated_epochs: self.undisseminated_epochs,
-            samples_delivered: self.samples_delivered,
-            bs_tx_uj: self.bs_tx_uj,
-            replans: std::mem::take(&mut self.replans),
+        let sim = &mut rep.sim;
+        for l in &per_mote {
+            sim.network.absorb(l);
         }
+        // Degenerate runs (zero epochs, empty fleet) report 0.0, never NaN.
+        if sim.tuples > 0 {
+            sim.sensing_uj_per_tuple = sim.network.sensing_uj / sim.tuples as f64;
+        }
+        sim.epochs = epochs;
+        sim.per_mote = per_mote;
+        rep
     }
 }
 
-/// Splits a flat multi-mote trace (one row per epoch, whole-network
-/// schema — the Garden layout) into per-mote traces is not needed: in
-/// the Garden model every mote evaluates the *network-wide* tuple, so
-/// each "mote" is handed the same epoch rows. This helper instead builds
-/// a fleet of `n` motes that all observe the given trace.
+/// The journaled form of plan version `version`.
+fn plan_record(version: usize, p: &PlannedQuery) -> PlanRecord {
+    PlanRecord {
+        version: version as u64,
+        wire: p.wire.clone(),
+        expected_cost: p.expected_cost,
+        objective: p.objective,
+    }
+}
+
+/// Builds a fleet of `n` motes that all observe the given trace: in the
+/// Garden model every mote evaluates the *network-wide* tuple, so each
+/// mote is handed the same epoch rows.
 pub fn fleet_from_trace(trace: &Dataset, n: u16) -> Vec<Mote> {
     (0..n).map(|id| Mote::new(id, trace.clone())).collect()
-}
-
-/// Like [`run_simulation`] but over a multihop collection tree:
-/// dissemination floods down the tree (interior motes forward the plan)
-/// and every result climbs hop by hop, charging each ancestor a relay.
-/// Returns the report plus the basestation's own transmit energy.
-pub fn run_simulation_multihop(
-    schema: &Schema,
-    query: &Query,
-    planned: &PlannedQuery,
-    motes: &mut [Mote],
-    topo: &crate::topology::Topology,
-    model: &EnergyModel,
-    epochs: usize,
-) -> (SimReport, f64) {
-    assert_eq!(motes.len(), topo.len());
-    let result_bytes = result_packet_bytes(schema, query);
-    // Dissemination down the tree.
-    let mut ledgers: Vec<EnergyLedger> = motes.iter().map(|m| *m.ledger()).collect();
-    let bs_tx = topo.charge_dissemination(planned.wire.len(), model, &mut ledgers);
-
-    let mut results = 0usize;
-    let mut tuples = 0usize;
-    let mut all_correct = true;
-    for e in 0..epochs {
-        for (mi, m) in motes.iter_mut().enumerate() {
-            if e >= m.epochs() {
-                continue;
-            }
-            tuples += 1;
-            let out = {
-                let mut src = m.epoch_source(e, schema, model);
-                execute_wire(&planned.wire, query, schema, &mut src)
-                    .expect("basestation-produced wire plans are well-formed")
-            };
-            let truth = query.eval_with(|a| m.peek(e, a));
-            all_correct &= out.verdict == truth;
-            if out.verdict {
-                results += 1;
-                topo.charge_result(mi, result_bytes, model, &mut ledgers);
-            }
-        }
-    }
-    // Merge sensing/board energy (tracked inside each mote) with the
-    // radio energy tracked by the topology layer.
-    for (m, topo_ledger) in motes.iter_mut().zip(&ledgers) {
-        let l = m.ledger_mut();
-        l.radio_rx_uj = topo_ledger.radio_rx_uj;
-        l.radio_tx_uj = topo_ledger.radio_tx_uj;
-    }
-    let per_mote: Vec<EnergyLedger> = motes.iter().map(|m| *m.ledger()).collect();
-    let report = SimReport::assemble(epochs, tuples, results, all_correct, per_mote);
-    (report, bs_tx)
 }
 
 #[cfg(test)]
@@ -1384,6 +1118,8 @@ mod tests {
     use super::*;
     use crate::basestation::{Basestation, PlannerChoice};
     use acqp_core::{Attribute, Pred};
+    use acqp_obs::NoopSink;
+    use std::sync::Arc;
 
     fn setup() -> (Schema, Dataset, Query) {
         let schema = Schema::new(vec![
@@ -1392,16 +1128,40 @@ mod tests {
             Attribute::new("t", 2, 1.0),
         ])
         .unwrap();
-        let mut rows = Vec::new();
-        for i in 0..400u16 {
-            let t = i % 2;
-            let a = if i % 10 == 0 { 1 - t } else { t };
-            let b = if i % 12 == 0 { t } else { 1 - t };
-            rows.push(vec![a, b, t]);
-        }
-        let data = Dataset::from_rows(&schema, rows).unwrap();
+        let data = Dataset::from_rows(&schema, rows(400)).unwrap();
         let query = Query::new(vec![Pred::in_range(0, 1, 1), Pred::in_range(1, 1, 1)]).unwrap();
         (schema, data, query)
+    }
+
+    fn rows(n: u16) -> Vec<Vec<u16>> {
+        (0..n)
+            .map(|i| {
+                let t = i % 2;
+                let a = if i % 10 == 0 { 1 - t } else { t };
+                let b = if i % 12 == 0 { t } else { 1 - t };
+                vec![a, b, t]
+            })
+            .collect()
+    }
+
+    /// A scalar run with a disabled recorder under `opts`.
+    fn sim(
+        bs: &Basestation<'_>,
+        query: &Query,
+        planned: &PlannedQuery,
+        motes: &mut [Mote],
+        model: &EnergyModel,
+        epochs: usize,
+        opts: &SimOptions,
+    ) -> FaultReport {
+        let rec = Recorder::disabled();
+        run_simulation(bs, query, planned, motes, model, epochs, ExecMode::Scalar, &rec, opts)
+            .unwrap()
+            .fault
+    }
+
+    fn lossy(faults: FaultModel) -> SimOptions {
+        SimOptions { faults, ..SimOptions::default() }
     }
 
     #[test]
@@ -1412,14 +1172,9 @@ mod tests {
         let planned = bs.plan_query(&query, PlannerChoice::Heuristic(4), 0.0).unwrap();
 
         let mut motes = fleet_from_trace(&live, 3);
-        let report = run_simulation(
-            &schema,
-            &query,
-            &planned,
-            &mut motes,
-            &EnergyModel::mica_like(),
-            live.len(),
-        );
+        let model = EnergyModel::mica_like();
+        let report =
+            sim(&bs, &query, &planned, &mut motes, &model, live.len(), &SimOptions::default()).sim;
         assert!(report.all_correct);
         assert_eq!(report.tuples, 3 * live.len());
         // Dissemination was charged to every mote.
@@ -1433,24 +1188,26 @@ mod tests {
 
     #[test]
     fn recorded_simulation_reports_network_metrics() {
-        use acqp_obs::{NoopSink, Recorder};
-        use std::sync::Arc;
-
         let (schema, data, query) = setup();
         let (train, live) = data.split_at(0.5);
         let bs = Basestation::new(schema.clone(), &train);
         let planned = bs.plan_query(&query, PlannerChoice::Heuristic(4), 0.0).unwrap();
         let mut motes = fleet_from_trace(&live, 2);
         let rec = Recorder::new(Arc::new(NoopSink));
-        let report = run_simulation_recorded(
-            &schema,
+        let report = run_simulation(
+            &bs,
             &query,
             &planned,
             &mut motes,
             &EnergyModel::mica_like(),
             live.len(),
+            ExecMode::Scalar,
             &rec,
-        );
+            &SimOptions::default(),
+        )
+        .unwrap()
+        .fault
+        .sim;
         let snap = rec.drain();
         assert_eq!(snap.counter("sensornet.tuples"), report.tuples as u64);
         assert_eq!(snap.counter("sensornet.results"), report.results as u64);
@@ -1463,9 +1220,10 @@ mod tests {
         }
         assert_eq!(snap.spans["sensornet.simulate"].count, 1);
         // The lossless path never touches the fault taxonomy beyond
-        // first-attempt successes.
+        // first-attempt successes, and never the recovery taxonomy.
         assert_eq!(snap.counter("sensornet.fault.result.lost"), 0);
         assert_eq!(snap.counter("sensornet.fault.diss.timeouts"), 0);
+        assert_eq!(snap.counter("recovery.attempted"), 0);
     }
 
     #[test]
@@ -1478,7 +1236,7 @@ mod tests {
         let run = |choice: PlannerChoice| {
             let planned = bs.plan_query(&query, choice, 0.0).unwrap();
             let mut motes = fleet_from_trace(&live, 2);
-            run_simulation(&schema, &query, &planned, &mut motes, &model, live.len())
+            sim(&bs, &query, &planned, &mut motes, &model, live.len(), &SimOptions::default()).sim
         };
         let naive = run(PlannerChoice::Naive);
         let cond = run(PlannerChoice::Heuristic(4));
@@ -1499,7 +1257,8 @@ mod tests {
         let model = EnergyModel::mica_like().with_board(vec![0, 1], 300.0);
         let planned = bs.plan_query(&query, PlannerChoice::Naive, 0.0).unwrap();
         let mut motes = fleet_from_trace(&live, 1);
-        let report = run_simulation(&schema, &query, &planned, &mut motes, &model, live.len());
+        let report =
+            sim(&bs, &query, &planned, &mut motes, &model, live.len(), &SimOptions::default()).sim;
         assert!(report.network.board_uj > 0.0);
         // At most one power-up per tuple.
         assert!(report.network.board_uj <= 300.0 * report.tuples as f64);
@@ -1530,7 +1289,8 @@ mod tests {
         let model = EnergyModel::mica_like();
         let planned = bs.plan_query(&query, PlannerChoice::Naive, 0.0).unwrap();
         let mut motes = fleet_from_trace(&live, 1);
-        let report = run_simulation(&schema, &query, &planned, &mut motes, &model, live.len());
+        let report =
+            sim(&bs, &query, &planned, &mut motes, &model, live.len(), &SimOptions::default()).sim;
         let expected_tx = report.results as f64
             * result_packet_bytes(&schema, &query) as f64
             * model.radio_tx_uj_per_byte;
@@ -1545,10 +1305,11 @@ mod tests {
         let bs = Basestation::new(schema.clone(), &train);
         let planned = bs.plan_query(&query, PlannerChoice::Naive, 0.0).unwrap();
         let model = EnergyModel::mica_like();
+        let opts = SimOptions::default();
 
         // Zero epochs: dissemination still happens, no tuples run.
         let mut motes = fleet_from_trace(&live, 2);
-        let r = run_simulation(&schema, &query, &planned, &mut motes, &model, 0);
+        let r = sim(&bs, &query, &planned, &mut motes, &model, 0, &opts).sim;
         assert_eq!(r.tuples, 0);
         assert_eq!(r.sensing_uj_per_tuple, 0.0);
         assert!(r.sensing_uj_per_tuple.is_finite());
@@ -1556,16 +1317,15 @@ mod tests {
 
         // Empty fleet: nothing at all.
         let mut none: Vec<Mote> = Vec::new();
-        let r = run_simulation(&schema, &query, &planned, &mut none, &model, 50);
+        let r = sim(&bs, &query, &planned, &mut none, &model, 50, &opts).sim;
         assert_eq!(r.tuples, 0);
         assert_eq!(r.sensing_uj_per_tuple, 0.0);
         assert!(r.sensing_uj_per_tuple.is_finite());
 
-        // Same edges through the multihop path.
-        let topo = crate::topology::Topology::star(2);
+        // Same edges over a multihop tree.
+        let tree = SimOptions { topology: Some(Topology::line(2)), ..SimOptions::default() };
         let mut motes = fleet_from_trace(&live, 2);
-        let (r, _) =
-            run_simulation_multihop(&schema, &query, &planned, &mut motes, &topo, &model, 0);
+        let r = sim(&bs, &query, &planned, &mut motes, &model, 0, &tree).sim;
         assert_eq!(r.sensing_uj_per_tuple, 0.0);
         assert!(r.sensing_uj_per_tuple.is_finite());
     }
@@ -1579,34 +1339,34 @@ mod tests {
         let model = EnergyModel::mica_like();
 
         let mut base_motes = fleet_from_trace(&live, 3);
-        let base = run_simulation(&schema, &query, &planned, &mut base_motes, &model, live.len());
+        let base =
+            sim(&bs, &query, &planned, &mut base_motes, &model, live.len(), &SimOptions::default())
+                .sim;
 
-        let mut faulty_motes = fleet_from_trace(&live, 3);
-        let faults = FaultModel::lossy(0xDEAD_BEEF, 0.0);
-        let rep = run_simulation_faulty(
-            &schema,
-            &query,
-            &planned,
-            &mut faulty_motes,
-            &model,
-            live.len(),
-            &faults,
-            &Recorder::disabled(),
-        );
-        assert_eq!(rep.sim.tuples, base.tuples);
-        assert_eq!(rep.sim.results, base.results);
-        assert_eq!(rep.sim.all_correct, base.all_correct);
-        assert_eq!(rep.sim.per_mote, base.per_mote, "energy must match to the bit");
-        assert_eq!(rep.sim.sensing_uj_per_tuple.to_bits(), base.sensing_uj_per_tuple.to_bits());
-        assert_eq!(rep.delivered_results, rep.sim.results);
-        assert_eq!(rep.lost_results, 0);
-        assert_eq!(rep.delivery_rate(), 1.0);
+        // A zero-loss model, and one whose only lossy link belongs to no
+        // mote of the fleet: both must land every packet on its first
+        // attempt.
+        for faults in [
+            FaultModel::lossy(0xDEAD_BEEF, 0.0),
+            FaultModel::lossy(0xDEAD_BEEF, 0.0).with_link_loss(9, 0.5),
+        ] {
+            let mut faulty_motes = fleet_from_trace(&live, 3);
+            let opts = lossy(faults);
+            let rep = sim(&bs, &query, &planned, &mut faulty_motes, &model, live.len(), &opts);
+            assert_eq!(rep.sim.tuples, base.tuples);
+            assert_eq!(rep.sim.results, base.results);
+            assert_eq!(rep.sim.all_correct, base.all_correct);
+            assert_eq!(rep.sim.per_mote, base.per_mote, "energy must match to the bit");
+            assert_eq!(rep.sim.sensing_uj_per_tuple.to_bits(), base.sensing_uj_per_tuple.to_bits());
+            assert_eq!(rep.delivered_results, rep.sim.results);
+            assert_eq!(rep.lost_results, 0);
+            assert_eq!(rep.delivery_rate(), 1.0);
+        }
     }
 
     #[test]
     fn vectorized_sim_is_bitwise_identical_to_scalar() {
-        use acqp_obs::{NoopSink, Recorder};
-        use std::sync::Arc;
+        use acqp_obs::FlightRecorder;
 
         let (schema, data, query) = setup();
         let (train, live) = data.split_at(0.5);
@@ -1614,41 +1374,62 @@ mod tests {
         let planned = bs.plan_query(&query, PlannerChoice::Heuristic(4), 0.0).unwrap();
         let model = EnergyModel::mica_like().with_board(vec![0, 1], 500.0);
 
-        let run = |mode: acqp_core::ExecMode| {
-            let mut motes = fleet_from_trace(&live, 3);
-            let rec = Recorder::new(Arc::new(NoopSink));
-            let rep = run_simulation_mode(
-                &schema,
-                &query,
-                &planned,
-                &mut motes,
-                &model,
-                live.len(),
-                mode,
-                &rec,
-            );
-            (rep, rec.drain())
-        };
-        let (base, base_snap) = run(acqp_core::ExecMode::Scalar);
-        let (vec_rep, vec_snap) = run(acqp_core::ExecMode::Vectorized);
+        // Input 1: three motes over one short window. Input 2: more than
+        // two full batch windows, with mote 2's trace ending inside the
+        // second one so its window runs short and then empty.
+        let long = Dataset::from_rows(&schema, rows(2 * BATCH_ROWS as u16 + 300)).unwrap();
+        let short = Dataset::from_rows(&schema, rows(BATCH_ROWS as u16 + 100)).unwrap();
+        let inputs: [(Vec<&Dataset>, usize); 2] =
+            [(vec![&live; 3], live.len()), (vec![&long, &long, &short], long.len())];
+        for (traces, epochs) in inputs {
+            let run = |mode: ExecMode| {
+                let mut motes: Vec<Mote> = traces
+                    .iter()
+                    .enumerate()
+                    .map(|(i, t)| Mote::new(i as u16, (*t).clone()))
+                    .collect();
+                let rec = Recorder::new(Arc::new(NoopSink))
+                    .with_flight(FlightRecorder::new(2 * epochs + 64));
+                let rep = run_simulation(
+                    &bs,
+                    &query,
+                    &planned,
+                    &mut motes,
+                    &model,
+                    epochs,
+                    mode,
+                    &rec,
+                    &SimOptions::default(),
+                )
+                .unwrap()
+                .fault
+                .sim;
+                let flight = (rec.flight().to_chrome_json(), rec.flight().to_epoch_jsonl());
+                (rep, rec.drain(), flight)
+            };
+            let (base, base_snap, base_flight) = run(ExecMode::Scalar);
+            let (vec_rep, vec_snap, vec_flight) = run(ExecMode::Vectorized);
 
-        assert_eq!(vec_rep.tuples, base.tuples);
-        assert_eq!(vec_rep.results, base.results);
-        assert_eq!(vec_rep.all_correct, base.all_correct);
-        assert_eq!(vec_rep.per_mote, base.per_mote, "ledgers must match to the bit");
-        assert_eq!(vec_rep.sensing_uj_per_tuple.to_bits(), base.sensing_uj_per_tuple.to_bits());
+            assert!(base.tuples > 0 && base.all_correct);
+            assert_eq!(vec_rep.tuples, base.tuples);
+            assert_eq!(vec_rep.results, base.results);
+            assert_eq!(vec_rep.all_correct, base.all_correct);
+            assert_eq!(vec_rep.per_mote, base.per_mote, "ledgers must match to the bit");
+            assert_eq!(vec_rep.sensing_uj_per_tuple.to_bits(), base.sensing_uj_per_tuple.to_bits());
 
-        assert_eq!(vec_snap.counters, base_snap.counters);
-        assert_eq!(vec_snap.hists, base_snap.hists);
-        let base_vals: Vec<(&String, u64)> =
-            base_snap.values.iter().map(|(k, v)| (k, v.to_bits())).collect();
-        let vec_vals: Vec<(&String, u64)> =
-            vec_snap.values.iter().map(|(k, v)| (k, v.to_bits())).collect();
-        assert_eq!(vec_vals, base_vals, "gauges must match to the bit");
-        let spans = |s: &acqp_obs::Snapshot| {
-            s.spans.iter().map(|(k, v)| (k.clone(), v.count)).collect::<Vec<_>>()
-        };
-        assert_eq!(spans(&vec_snap), spans(&base_snap));
+            assert_eq!(vec_snap.counters, base_snap.counters);
+            assert_eq!(vec_snap.hists, base_snap.hists);
+            let base_vals: Vec<(&String, u64)> =
+                base_snap.values.iter().map(|(k, v)| (k, v.to_bits())).collect();
+            let vec_vals: Vec<(&String, u64)> =
+                vec_snap.values.iter().map(|(k, v)| (k, v.to_bits())).collect();
+            assert_eq!(vec_vals, base_vals, "gauges must match to the bit");
+            let spans = |s: &acqp_obs::Snapshot| {
+                s.spans.iter().map(|(k, v)| (k.clone(), v.count)).collect::<Vec<_>>()
+            };
+            assert_eq!(spans(&vec_snap), spans(&base_snap));
+            assert_eq!(vec_flight, base_flight, "flight traces must match byte for byte");
+        }
     }
 
     #[test]
@@ -1658,20 +1439,11 @@ mod tests {
         let bs = Basestation::new(schema.clone(), &train);
         let planned = bs.plan_query(&query, PlannerChoice::Heuristic(4), 0.0).unwrap();
         let model = EnergyModel::mica_like();
-        let faults = FaultModel::lossy(7, 0.4);
+        let opts = lossy(FaultModel::lossy(7, 0.4));
 
         let run = || {
             let mut motes = fleet_from_trace(&live, 3);
-            run_simulation_faulty(
-                &schema,
-                &query,
-                &planned,
-                &mut motes,
-                &model,
-                live.len(),
-                &faults,
-                &Recorder::disabled(),
-            )
+            sim(&bs, &query, &planned, &mut motes, &model, live.len(), &opts)
         };
         let a = run();
         let b = run();
@@ -1683,8 +1455,9 @@ mod tests {
         // Retransmissions cost strictly more tx energy than a lossless
         // run of the same plan.
         let mut lossless = fleet_from_trace(&live, 3);
-        let base = run_simulation(&schema, &query, &planned, &mut lossless, &model, live.len());
-        assert!(a.sim.network.radio_tx_uj > base.network.radio_tx_uj);
+        let base =
+            sim(&bs, &query, &planned, &mut lossless, &model, live.len(), &SimOptions::default());
+        assert!(a.sim.network.radio_tx_uj > base.sim.network.radio_tx_uj);
     }
 
     #[test]
@@ -1696,18 +1469,9 @@ mod tests {
         let model = EnergyModel::mica_like();
         let epochs = live.len();
         // Mote 1 is down for 10 epochs mid-run.
-        let faults = FaultModel::lossy(3, 0.0).with_dropout(1, 20, 30);
+        let opts = lossy(FaultModel::lossy(3, 0.0).with_dropout(1, 20, 30));
         let mut motes = fleet_from_trace(&live, 2);
-        let rep = run_simulation_faulty(
-            &schema,
-            &query,
-            &planned,
-            &mut motes,
-            &model,
-            epochs,
-            &faults,
-            &Recorder::disabled(),
-        );
+        let rep = sim(&bs, &query, &planned, &mut motes, &model, epochs, &opts);
         assert_eq!(rep.offline_epochs, 10);
         assert_eq!(rep.sim.tuples, 2 * epochs - 10);
         assert!(rep.sim.all_correct);
@@ -1724,31 +1488,20 @@ mod tests {
         let model = EnergyModel::mica_like();
         let faults = FaultModel::lossy(11, 0.0).with_sensing_failures(0.2).with_max_attempts(2);
         let mut motes = fleet_from_trace(&live, 2);
-        let rep = run_simulation_faulty(
-            &schema,
-            &query,
-            &planned,
-            &mut motes,
-            &model,
-            live.len(),
-            &faults,
-            &Recorder::disabled(),
-        );
+        let rep = sim(&bs, &query, &planned, &mut motes, &model, live.len(), &lossy(faults));
         assert!(rep.aborted_tuples > 0, "20% failure with cap 2 must abort some tuples");
         // Verdict checking skips aborted tuples, so the run stays correct.
         assert!(rep.sim.all_correct);
         // Failed reads still drew sensor power: more sensing energy
         // than the lossless run.
         let mut lossless = fleet_from_trace(&live, 2);
-        let base = run_simulation(&schema, &query, &planned, &mut lossless, &model, live.len());
-        assert!(rep.sim.network.sensing_uj > base.network.sensing_uj);
+        let base =
+            sim(&bs, &query, &planned, &mut lossless, &model, live.len(), &SimOptions::default());
+        assert!(rep.sim.network.sensing_uj > base.sim.network.sensing_uj);
     }
 
     #[test]
     fn adaptive_replans_when_distribution_flips() {
-        use acqp_obs::{NoopSink, Recorder};
-        use std::sync::Arc;
-
         let (schema, _, query) = setup();
         // History: pred on `a` passes 90% of tuples, pred on `b` only
         // 10% — the planner fronts `b` for cheap rejections.
@@ -1771,27 +1524,32 @@ mod tests {
         let planned = bs.plan_query(&query, PlannerChoice::Heuristic(4), 0.0).unwrap();
         let model = EnergyModel::mica_like();
         let rec = Recorder::new(Arc::new(NoopSink));
-        let cfg = AdaptiveConfig {
-            drift: DriftConfig { threshold: 0.2, min_samples: 16 },
-            check_every: 4,
-            sample_every: 2,
-            window: 64,
-            min_window: 8,
-            ..AdaptiveConfig::default()
+        let opts = SimOptions {
+            faults: FaultModel::lossy(5, 0.05),
+            adaptive: Some(AdaptiveConfig {
+                drift: DriftConfig { threshold: 0.2, min_samples: 16 },
+                check_every: 4,
+                sample_every: 2,
+                window: 64,
+                min_window: 8,
+                ..AdaptiveConfig::default()
+            }),
+            ..SimOptions::default()
         };
         let mut motes = fleet_from_trace(&live, 2);
-        let rep = run_simulation_adaptive(
+        let rep = run_simulation(
             &bs,
             &query,
             &planned,
             &mut motes,
             &model,
             live.len(),
-            &FaultModel::lossy(5, 0.05),
-            &cfg,
+            ExecMode::Scalar,
             &rec,
+            &opts,
         )
-        .unwrap();
+        .unwrap()
+        .fault;
         assert!(rep.sim.all_correct, "re-planning must never corrupt verdicts");
         assert!(!rep.replans.is_empty(), "flipped correlation must trigger a re-plan");
         let adopted: Vec<_> = rep.replans.iter().filter(|r| r.adopted).collect();
@@ -1818,24 +1576,27 @@ mod tests {
         let dir = std::env::temp_dir().join("acqp_sim_crash_test");
         std::fs::remove_dir_all(&dir).ok();
 
-        let crash = CrashConfig {
-            checkpoint_dir: Some(dir.clone()),
-            checkpoint_every: 8,
-            crash_epochs: vec![10, 30],
-            crash_rate: 0.0,
+        let opts = SimOptions {
+            faults: faults.clone(),
+            crash: CrashConfig {
+                checkpoint_dir: Some(dir.clone()),
+                checkpoint_every: 8,
+                crash_epochs: vec![10, 30],
+                crash_rate: 0.0,
+            },
+            ..SimOptions::default()
         };
         let mut motes = fleet_from_trace(&live, 3);
-        let rep = run_simulation_crashy(
+        let rep = run_simulation(
             &bs,
             &query,
             &planned,
             &mut motes,
             &model,
             live.len(),
-            &faults,
-            None,
-            &crash,
+            ExecMode::Scalar,
             &Recorder::disabled(),
+            &opts,
         )
         .unwrap();
         assert_eq!(rep.crashes, 2);
@@ -1846,16 +1607,7 @@ mod tests {
         // Same run without crashes: strictly less dissemination energy.
         std::fs::remove_dir_all(&dir).ok();
         let mut base_motes = fleet_from_trace(&live, 3);
-        let base = run_simulation_faulty(
-            &schema,
-            &query,
-            &planned,
-            &mut base_motes,
-            &model,
-            live.len(),
-            &faults,
-            &Recorder::disabled(),
-        );
+        let base = sim(&bs, &query, &planned, &mut base_motes, &model, live.len(), &lossy(faults));
         assert!(rep.fault.bs_tx_uj > base.bs_tx_uj);
         assert_eq!(rep.fault.sim.tuples, base.sim.tuples, "crashes cost energy, not tuples");
     }
@@ -1867,29 +1619,117 @@ mod tests {
         let bs = Basestation::new(schema.clone(), &train);
         let planned = bs.plan_query(&query, PlannerChoice::Heuristic(4), 0.0).unwrap();
         let model = EnergyModel::mica_like();
-        let crash = CrashConfig {
-            checkpoint_dir: None,
-            checkpoint_every: 0,
-            crash_epochs: vec![5],
-            crash_rate: 0.0,
+        let opts = SimOptions {
+            crash: CrashConfig {
+                checkpoint_dir: None,
+                checkpoint_every: 0,
+                crash_epochs: vec![5],
+                crash_rate: 0.0,
+            },
+            ..SimOptions::default()
         };
         let mut motes = fleet_from_trace(&live, 2);
-        let rep = run_simulation_crashy(
+        let rep = run_simulation(
             &bs,
             &query,
             &planned,
             &mut motes,
             &model,
             20,
-            &FaultModel::none(),
-            None,
-            &crash,
+            ExecMode::Scalar,
             &Recorder::disabled(),
+            &opts,
         )
         .unwrap();
         assert_eq!(rep.crashes, 1);
         assert_eq!(rep.cold_starts, 1, "no checkpoint directory means every crash is cold");
         assert_eq!(rep.checkpoints_written, 0);
         assert!(rep.fault.sim.all_correct);
+    }
+
+    /// Runs `planned` under `opts` and `mode`, returning only the error.
+    fn rejection(
+        planned: &PlannedQuery,
+        fleet: u16,
+        mode: ExecMode,
+        opts: &SimOptions,
+    ) -> acqp_core::Error {
+        let (schema, data, query) = setup();
+        let bs = Basestation::new(schema, &data);
+        let mut motes = fleet_from_trace(&data, fleet);
+        let model = EnergyModel::mica_like();
+        let rec = Recorder::disabled();
+        match run_simulation(&bs, &query, planned, &mut motes, &model, 16, mode, &rec, opts) {
+            Ok(_) => panic!("the run must be rejected"),
+            Err(e) => e,
+        }
+    }
+
+    fn heuristic_plan() -> PlannedQuery {
+        let (schema, data, query) = setup();
+        Basestation::new(schema, &data)
+            .plan_query(&query, PlannerChoice::Heuristic(4), 0.0)
+            .unwrap()
+    }
+
+    #[test]
+    fn rejects_a_truncated_wire() {
+        let mut planned = heuristic_plan();
+        planned.wire.pop();
+        let err = rejection(&planned, 2, ExecMode::Scalar, &SimOptions::default());
+        assert!(matches!(err, Error::BadWireFormat { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn rejects_a_plan_that_does_not_encode_to_its_wire() {
+        let (schema, data, query) = setup();
+        let bs = Basestation::new(schema, &data);
+        let mut planned = heuristic_plan();
+        let naive = bs.plan_query(&query, PlannerChoice::Naive, 0.0).unwrap();
+        assert_ne!(naive.wire, planned.wire, "the two plans must differ");
+        // The wire still certifies; only the tree the batch path would
+        // run disagrees with it.
+        planned.plan = naive.plan;
+        let err = rejection(&planned, 2, ExecMode::Scalar, &SimOptions::default());
+        assert!(
+            matches!(err, Error::BadWireFormat { what, .. } if what.contains("does not encode")),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn rejects_a_topology_of_the_wrong_length() {
+        let opts = SimOptions { topology: Some(Topology::line(3)), ..SimOptions::default() };
+        let err = rejection(&heuristic_plan(), 2, ExecMode::Scalar, &opts);
+        assert!(
+            matches!(err, Error::InvalidFlag { ref flag, .. } if flag == "topology"),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn rejects_vectorized_with_loss() {
+        let opts = lossy(FaultModel::lossy(1, 0.2));
+        let err = rejection(&heuristic_plan(), 2, ExecMode::Vectorized, &opts);
+        assert!(matches!(err, Error::InvalidFlag { ref flag, .. } if flag == "exec"), "{err:?}");
+    }
+
+    #[test]
+    fn rejects_a_multihop_tree_with_loss() {
+        let opts = SimOptions {
+            faults: FaultModel::lossy(1, 0.2),
+            topology: Some(Topology::balanced(4, 2)),
+            ..SimOptions::default()
+        };
+        // A star relays nothing, but its packets go through the same
+        // tree radio model, which has no loss semantics either.
+        let star = SimOptions { topology: Some(Topology::star(4)), ..opts.clone() };
+        for opts in [opts, star] {
+            let err = rejection(&heuristic_plan(), 4, ExecMode::Scalar, &opts);
+            assert!(
+                matches!(err, Error::InvalidFlag { ref flag, .. } if flag == "topology"),
+                "{err:?}"
+            );
+        }
     }
 }

@@ -44,8 +44,10 @@ impl Topology {
         Ok(Topology { parent, depth })
     }
 
-    /// Every mote one hop from the basestation (the implicit topology of
-    /// [`crate::sim::run_simulation`]).
+    /// Every mote one hop from the basestation. Under
+    /// [`crate::sim::run_simulation`] its mote ledgers match the run
+    /// with no topology; only the basestation's plan broadcast differs
+    /// (one transmission instead of one per mote).
     pub fn star(n: usize) -> Self {
         Topology { parent: vec![None; n], depth: vec![1; n] }
     }

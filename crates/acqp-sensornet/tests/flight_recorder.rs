@@ -12,7 +12,7 @@ use acqp_core::prelude::*;
 use acqp_obs::{FlightRecorder, Recorder};
 use acqp_sensornet::sim::fleet_from_trace;
 use acqp_sensornet::{
-    run_simulation_faulty, run_simulation_mode, Basestation, EnergyModel, FaultModel, PlannerChoice,
+    run_simulation, Basestation, EnergyModel, FaultModel, PlannerChoice, SimOptions,
 };
 use proptest::prelude::*;
 
@@ -46,8 +46,8 @@ fn fly(
     let planned = bs.plan_query(query, PlannerChoice::Heuristic(3), 0.0).unwrap();
     let rec = Recorder::disabled().with_flight(FlightRecorder::new(1 << 14));
     let mut fleet = fleet_from_trace(live, motes);
-    let rep = run_simulation_mode(
-        schema,
+    let rep = run_simulation(
+        &bs,
         query,
         &planned,
         &mut fleet,
@@ -55,7 +55,11 @@ fn fly(
         live.len(),
         mode,
         &rec,
-    );
+        &SimOptions::default(),
+    )
+    .unwrap()
+    .fault
+    .sim;
     let flight = rec.flight();
     (flight.to_chrome_json(), flight.to_epoch_jsonl(), flight.to_timeline(), rep)
 }
@@ -108,15 +112,22 @@ proptest! {
 
         for mode in [ExecMode::Scalar, ExecMode::Vectorized] {
             let mut bare_fleet = fleet_from_trace(&data, motes);
-            let bare = run_simulation_mode(
-                &schema, &query, &planned, &mut bare_fleet, &model, data.len(), mode,
-                &Recorder::disabled(),
-            );
+            let opts = SimOptions::default();
+            let bare = run_simulation(
+                &bs, &query, &planned, &mut bare_fleet, &model, data.len(), mode,
+                &Recorder::disabled(), &opts,
+            )
+            .unwrap()
+            .fault
+            .sim;
             let rec = Recorder::disabled().with_flight(FlightRecorder::disabled());
             let mut fleet = fleet_from_trace(&data, motes);
-            let flown = run_simulation_mode(
-                &schema, &query, &planned, &mut fleet, &model, data.len(), mode, &rec,
-            );
+            let flown = run_simulation(
+                &bs, &query, &planned, &mut fleet, &model, data.len(), mode, &rec, &opts,
+            )
+            .unwrap()
+            .fault
+            .sim;
             prop_assert_eq!(rec.flight().emitted(), 0, "disabled ring must swallow emits");
             prop_assert_eq!(bare.tuples, flown.tuples);
             prop_assert_eq!(bare.results, flown.results);
@@ -140,14 +151,17 @@ proptest! {
         let bs = Basestation::new(schema.clone(), &data);
         let planned = bs.plan_query(&query, PlannerChoice::Heuristic(3), 0.0).unwrap();
         let model = EnergyModel::mica_like();
-        let faults = FaultModel::lossy(seed, loss);
+        let opts = SimOptions { faults: FaultModel::lossy(seed, loss), ..SimOptions::default() };
         let mut traces = Vec::new();
         for _ in 0..2 {
             let rec = Recorder::disabled().with_flight(FlightRecorder::new(1 << 14));
             let mut fleet = fleet_from_trace(&data, motes);
-            let rep = run_simulation_faulty(
-                &schema, &query, &planned, &mut fleet, &model, data.len(), &faults, &rec,
-            );
+            let rep = run_simulation(
+                &bs, &query, &planned, &mut fleet, &model, data.len(), ExecMode::Scalar, &rec,
+                &opts,
+            )
+            .unwrap()
+            .fault;
             prop_assert!(rep.sim.all_correct);
             traces.push(rec.flight().to_chrome_json());
         }
@@ -163,8 +177,8 @@ fn overflow_is_reported_in_exports() {
     let planned = bs.plan_query(&query, PlannerChoice::Heuristic(3), 0.0).unwrap();
     let rec = Recorder::disabled().with_flight(FlightRecorder::new(8));
     let mut fleet = fleet_from_trace(&data, 2);
-    run_simulation_mode(
-        &schema,
+    run_simulation(
+        &bs,
         &query,
         &planned,
         &mut fleet,
@@ -172,7 +186,9 @@ fn overflow_is_reported_in_exports() {
         data.len(),
         ExecMode::Scalar,
         &rec,
-    );
+        &SimOptions::default(),
+    )
+    .unwrap();
     let flight = rec.flight();
     assert!(flight.dropped() > 0, "a cap of 8 must overflow on this run");
     assert_eq!(flight.len(), 8);

@@ -2,9 +2,11 @@
 //! radio energy but never sensing energy or verdicts.
 
 use acqp_core::prelude::*;
+use acqp_obs::Recorder;
 use acqp_sensornet::sim::fleet_from_trace;
 use acqp_sensornet::{
-    run_simulation, run_simulation_multihop, Basestation, EnergyModel, PlannerChoice, Topology,
+    run_simulation, Basestation, EnergyModel, FaultReport, PlannedQuery, PlannerChoice, SimOptions,
+    Topology,
 };
 
 fn setup() -> (Schema, Dataset, Query) {
@@ -20,23 +22,50 @@ fn setup() -> (Schema, Dataset, Query) {
     (schema, data, query)
 }
 
+/// A lossless scalar run of `planned` on `motes` motes over `live`,
+/// multihop when `topology` is given.
+fn run(
+    bs: &Basestation<'_>,
+    query: &Query,
+    planned: &PlannedQuery,
+    live: &Dataset,
+    motes: u16,
+    topology: Option<Topology>,
+) -> FaultReport {
+    let mut fleet = fleet_from_trace(live, motes);
+    let model = EnergyModel::mica_like();
+    let opts = SimOptions { topology, ..SimOptions::default() };
+    let rec = Recorder::disabled();
+    run_simulation(
+        bs,
+        query,
+        planned,
+        &mut fleet,
+        &model,
+        live.len(),
+        ExecMode::Scalar,
+        &rec,
+        &opts,
+    )
+    .unwrap()
+    .fault
+}
+
 #[test]
 fn star_topology_matches_single_hop_simulation() {
     let (schema, data, query) = setup();
     let (history, live) = data.split_at(0.5);
     let bs = Basestation::new(schema.clone(), &history);
     let planned = bs.plan_query(&query, PlannerChoice::Heuristic(3), 0.0).unwrap();
-    let model = EnergyModel::mica_like();
 
-    let mut flat = fleet_from_trace(&live, 4);
-    let flat_rep = run_simulation(&schema, &query, &planned, &mut flat, &model, live.len());
-
-    let mut multi = fleet_from_trace(&live, 4);
-    let topo = Topology::star(4);
-    let (multi_rep, bs_tx) =
-        run_simulation_multihop(&schema, &query, &planned, &mut multi, &topo, &model, live.len());
+    let flat = run(&bs, &query, &planned, &live, 4, None);
+    let multi = run(&bs, &query, &planned, &live, 4, Some(Topology::star(4)));
+    let (flat_rep, multi_rep, bs_tx) = (flat.sim, multi.sim, multi.bs_tx_uj);
     assert!(flat_rep.all_correct && multi_rep.all_correct);
     assert_eq!(flat_rep.results, multi_rep.results);
+    // The tree radio model charges each mote the same additions, in the
+    // same order, as the single-hop charges.
+    assert_eq!(flat_rep.per_mote, multi_rep.per_mote, "star ledgers must match to the bit");
     // Sensing identical; radio identical at depth 1 (no relays, no
     // interior forwards).
     assert!((flat_rep.network.sensing_uj - multi_rep.network.sensing_uj).abs() < 1e-9);
@@ -49,6 +78,9 @@ fn star_topology_matches_single_hop_simulation() {
         "star tx must match single-hop"
     );
     assert!(bs_tx > 0.0);
+    // The star broadcasts the plan once; single-hop unicasts it to
+    // every mote.
+    assert!((flat.bs_tx_uj - 4.0 * bs_tx).abs() < 1e-9);
 }
 
 #[test]
@@ -57,19 +89,9 @@ fn deeper_topologies_cost_more_radio_never_more_sensing() {
     let (history, live) = data.split_at(0.5);
     let bs = Basestation::new(schema.clone(), &history);
     let planned = bs.plan_query(&query, PlannerChoice::Heuristic(3), 0.0).unwrap();
-    let model = EnergyModel::mica_like();
 
     let run = |topo: Topology| {
-        let mut motes = fleet_from_trace(&live, 6);
-        let (rep, _) = run_simulation_multihop(
-            &schema,
-            &query,
-            &planned,
-            &mut motes,
-            &topo,
-            &model,
-            live.len(),
-        );
+        let rep = run(&bs, &query, &planned, &live, 6, Some(topo)).sim;
         assert!(rep.all_correct);
         rep
     };
@@ -88,13 +110,32 @@ fn relay_burden_lands_on_ancestors() {
     let (history, live) = data.split_at(0.5);
     let bs = Basestation::new(schema.clone(), &history);
     let planned = bs.plan_query(&query, PlannerChoice::CorrSeq, 0.0).unwrap();
-    let model = EnergyModel::mica_like();
-    let mut motes = fleet_from_trace(&live, 4);
-    let topo = Topology::line(4);
-    let (rep, _) =
-        run_simulation_multihop(&schema, &query, &planned, &mut motes, &topo, &model, live.len());
+    let rep = run(&bs, &query, &planned, &live, 4, Some(Topology::line(4))).sim;
     // Mote 0 relays for everyone: strictly more radio than the leaf.
     let tx0 = rep.per_mote[0].radio_tx_uj;
     let tx3 = rep.per_mote[3].radio_tx_uj;
     assert!(tx0 > tx3, "root-adjacent mote must carry the relay burden: {tx0} vs {tx3}");
+}
+
+#[test]
+fn vectorized_multihop_matches_scalar_bitwise() {
+    let (schema, data, query) = setup();
+    let (history, live) = data.split_at(0.5);
+    let bs = Basestation::new(schema.clone(), &history);
+    let planned = bs.plan_query(&query, PlannerChoice::Heuristic(3), 0.0).unwrap();
+    let model = EnergyModel::mica_like();
+    let opts = SimOptions { topology: Some(Topology::balanced(5, 2)), ..SimOptions::default() };
+    let reports: Vec<FaultReport> = [ExecMode::Scalar, ExecMode::Vectorized]
+        .into_iter()
+        .map(|mode| {
+            let mut fleet = fleet_from_trace(&live, 5);
+            let rec = Recorder::disabled();
+            run_simulation(&bs, &query, &planned, &mut fleet, &model, live.len(), mode, &rec, &opts)
+                .unwrap()
+                .fault
+        })
+        .collect();
+    assert!(reports[0].sim.all_correct);
+    assert_eq!(reports[0].sim.per_mote, reports[1].sim.per_mote);
+    assert_eq!(reports[0].bs_tx_uj.to_bits(), reports[1].bs_tx_uj.to_bits());
 }

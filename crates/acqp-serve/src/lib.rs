@@ -32,7 +32,7 @@ use acqp_obs::Recorder;
 use acqp_sensornet::service::{
     AdmittedPlan, ScheduleEntry, ServePlanner, ServePolicyState, ServiceOptions, ServiceReport,
 };
-use acqp_sensornet::sim::{fleet_from_trace, run_simulation_mode};
+use acqp_sensornet::sim::{fleet_from_trace, run_simulation, SimOptions};
 use acqp_sensornet::{
     run_service_with, Basestation, CrashConfig, EnergyModel, FaultModel, PlannedQuery,
     ServicePolicy,
@@ -320,7 +320,7 @@ pub fn serve_schedule(
 
 /// The N-independent-runs baseline: every schedule entry that the
 /// service would admit runs alone — its own plan, its own fresh fleet,
-/// its own trace window — through [`run_simulation_mode`]. Returns the
+/// its own trace window — through [`run_simulation`]. Returns the
 /// summed mote-side energy (µJ), the quantity the shared service must
 /// strictly beat once queries overlap.
 #[allow(clippy::too_many_arguments)]
@@ -349,8 +349,8 @@ pub fn independent_schedule_energy(
         let window = Dataset::from_rows(schema, rows)?;
         let (_, planned) = bs.plan_query_sized(&entry.query, cfg.alpha, &cfg.candidate_splits)?;
         let mut fleet = fleet_from_trace(&window, motes);
-        let sim = run_simulation_mode(
-            schema,
+        let rep = run_simulation(
+            &bs,
             &entry.query,
             &planned,
             &mut fleet,
@@ -358,8 +358,9 @@ pub fn independent_schedule_energy(
             lived,
             mode,
             &Recorder::disabled(),
-        );
-        total += sim.network.total_uj();
+            &SimOptions::default(),
+        )?;
+        total += rep.fault.sim.network.total_uj();
     }
     Ok(total)
 }

@@ -9,18 +9,13 @@
 //! probabilities change, we can modify our greedy algorithm to
 //! re-evaluate the plan."*
 //!
-//! This crate packages that loop:
-//!
-//! * [`SlidingWindow`] — a fixed-capacity ring buffer of the most recent
-//!   tuples, exposable as a [`Dataset`] for the counting estimator.
-//! * [`CostTracker`] — exponentially-weighted tracking of the running
-//!   plan's measured per-tuple cost against its expectation at plan
-//!   time, the drift signal.
-//! * [`AdaptivePlanner`] — the supervision loop: feed tuples, execute
-//!   the current plan, re-plan when (a) the measured cost degrades
-//!   beyond a tolerance or (b) a periodic re-planning interval elapses,
-//!   and switch plans only when the candidate wins on the current
-//!   window (hysteresis, so a noisy batch does not thrash plans).
+//! This crate holds the sliding window that loop estimates from:
+//! [`SlidingWindow`], a fixed-capacity ring buffer of the most recent
+//! tuples, exposable as a [`Dataset`] for the counting estimator, with
+//! a checkpointable [`WindowState`]. The loop itself — drift detection
+//! and budgeted re-planning — runs at the basestation: see
+//! `acqp_core::DriftMonitor`, `Basestation::replan` and the `adaptive`
+//! option of `acqp_sensornet::run_simulation`.
 
 #![warn(missing_docs)]
 // Determinism tests assert bitwise-equal floats on purpose; the
@@ -151,226 +146,9 @@ pub struct WindowState {
     pub pushed: u64,
 }
 
-/// Exponentially-weighted comparison of a plan's measured cost against
-/// its planning-time expectation.
-#[derive(Debug, Clone)]
-pub struct CostTracker {
-    /// Expected per-tuple cost the plan claimed when built.
-    expected: f64,
-    /// EWMA of measured per-tuple cost.
-    ewma: Option<f64>,
-    /// EWMA smoothing factor in (0, 1]; higher reacts faster.
-    alpha: f64,
-}
-
-impl CostTracker {
-    /// Tracks against `expected` with smoothing factor `alpha`.
-    pub fn new(expected: f64, alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0);
-        CostTracker { expected, ewma: None, alpha }
-    }
-
-    /// Records one tuple's measured execution cost.
-    pub fn observe(&mut self, cost: f64) {
-        self.ewma = Some(match self.ewma {
-            None => cost,
-            Some(e) => e + self.alpha * (cost - e),
-        });
-    }
-
-    /// Smoothed measured cost (None before the first observation).
-    pub fn measured(&self) -> Option<f64> {
-        self.ewma
-    }
-
-    /// The claim the plan was built with.
-    pub fn expected(&self) -> f64 {
-        self.expected
-    }
-
-    /// Relative degradation of measured over expected cost; 0 while no
-    /// observation or when performing at/above expectation.
-    pub fn degradation(&self) -> f64 {
-        match self.ewma {
-            Some(m) if self.expected > 0.0 => ((m - self.expected) / self.expected).max(0.0),
-            Some(m) => m.max(0.0),
-            None => 0.0,
-        }
-    }
-}
-
-/// Why the adaptive planner rebuilt (or kept) its plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Adaptation {
-    /// Plan kept: no trigger fired.
-    Kept,
-    /// Trigger fired but the fresh candidate was not better on the
-    /// window; plan kept (hysteresis).
-    CandidateRejected,
-    /// Plan replaced after cost degradation beyond tolerance.
-    ReplannedOnDrift,
-    /// Plan replaced at the periodic re-planning interval.
-    ReplannedOnSchedule,
-}
-
-/// The §7 adaptation loop around a [`GreedyPlanner`].
-pub struct AdaptivePlanner {
-    schema: Schema,
-    query: Query,
-    planner: GreedyPlanner,
-    window: SlidingWindow,
-    /// Re-plan when measured cost exceeds expectation by this fraction.
-    drift_tolerance: f64,
-    /// Also re-evaluate every `replan_interval` tuples (0 = never).
-    replan_interval: u64,
-    /// Minimum window fill before the first plan is built.
-    min_fill: usize,
-    plan: Option<Plan>,
-    tracker: Option<CostTracker>,
-    last_replan_at: u64,
-    /// Count of plan switches performed.
-    pub replans: usize,
-}
-
-impl AdaptivePlanner {
-    /// Creates the loop. `window` tuples are retained; the first plan is
-    /// built once `min_fill` tuples have arrived.
-    pub fn new(
-        schema: Schema,
-        query: Query,
-        planner: GreedyPlanner,
-        window: usize,
-        min_fill: usize,
-    ) -> Self {
-        let w = SlidingWindow::new(&schema, window);
-        AdaptivePlanner {
-            schema,
-            query,
-            planner,
-            window: w,
-            drift_tolerance: 0.15,
-            replan_interval: 0,
-            min_fill: min_fill.max(2),
-            plan: None,
-            tracker: None,
-            last_replan_at: 0,
-            replans: 0,
-        }
-    }
-
-    /// Sets the drift tolerance (fractional cost degradation that
-    /// triggers a re-plan). Default 0.15.
-    pub fn with_drift_tolerance(mut self, tol: f64) -> Self {
-        self.drift_tolerance = tol.max(0.0);
-        self
-    }
-
-    /// Re-evaluates the plan every `n` tuples regardless of drift.
-    pub fn with_replan_interval(mut self, n: u64) -> Self {
-        self.replan_interval = n;
-        self
-    }
-
-    /// The current plan, if one has been built.
-    pub fn plan(&self) -> Option<&Plan> {
-        self.plan.as_ref()
-    }
-
-    /// The current drift tracker.
-    pub fn tracker(&self) -> Option<&CostTracker> {
-        self.tracker.as_ref()
-    }
-
-    /// Feeds one tuple: executes the current plan against it (charging
-    /// acquisition costs), slides the window, and adapts if triggered.
-    ///
-    /// Returns the execution outcome (None while the window is still
-    /// filling and no plan exists) and what adaptation happened.
-    pub fn ingest(&mut self, tuple: Vec<u16>) -> Result<(Option<ExecOutcome>, Adaptation)> {
-        debug_assert_eq!(tuple.len(), self.schema.len());
-        // Execute against the *current* plan first: adaptation must not
-        // peek at the tuple it is about to be scored on.
-        let outcome = match &self.plan {
-            Some(plan) => {
-                let mut src = SliceSource(&tuple);
-                let out = execute(plan, &self.query, &self.schema, &mut src);
-                if let Some(t) = &mut self.tracker {
-                    t.observe(out.cost);
-                }
-                Some(out)
-            }
-            None => None,
-        };
-        self.window.push(tuple);
-
-        let adaptation = self.maybe_adapt()?;
-        Ok((outcome, adaptation))
-    }
-
-    fn maybe_adapt(&mut self) -> Result<Adaptation> {
-        if self.window.len() < self.min_fill {
-            return Ok(Adaptation::Kept);
-        }
-        if self.plan.is_none() {
-            // Initial plan.
-            let (plan, expected) = self.rebuild()?;
-            self.install(plan, expected);
-            return Ok(Adaptation::ReplannedOnSchedule);
-        }
-        let drifted = self.tracker.as_ref().is_some_and(|t| t.degradation() > self.drift_tolerance);
-        let scheduled = self.replan_interval > 0
-            && self.window.total_pushed() - self.last_replan_at >= self.replan_interval;
-        if !drifted && !scheduled {
-            return Ok(Adaptation::Kept);
-        }
-
-        let (candidate, cand_expected) = self.rebuild()?;
-        // Hysteresis: the challenger must beat the incumbent on the
-        // *current window*, both measured under the same data.
-        let snap = self.window.snapshot(&self.schema)?;
-        let incumbent = self.plan.as_ref().expect("checked above");
-        let cur = measure(incumbent, &self.query, &self.schema, &snap).mean_cost;
-        let new = measure(&candidate, &self.query, &self.schema, &snap).mean_cost;
-        if new + 1e-9 < cur {
-            self.install(candidate, cand_expected);
-            self.replans += 1;
-            Ok(if drifted { Adaptation::ReplannedOnDrift } else { Adaptation::ReplannedOnSchedule })
-        } else {
-            // Reset the tracker against the re-validated expectation so
-            // the same drift does not re-trigger every tuple.
-            self.tracker = Some(CostTracker::new(cur, 0.05));
-            self.last_replan_at = self.window.total_pushed();
-            Ok(Adaptation::CandidateRejected)
-        }
-    }
-
-    fn rebuild(&self) -> Result<(Plan, f64)> {
-        let snap = self.window.snapshot(&self.schema)?;
-        let est = CountingEstimator::with_ranges(&snap, Ranges::root(&self.schema));
-        self.planner.plan_with_cost(&self.schema, &self.query, &est)
-    }
-
-    fn install(&mut self, plan: Plan, expected: f64) {
-        self.tracker = Some(CostTracker::new(expected, 0.05));
-        self.plan = Some(plan);
-        self.last_replan_at = self.window.total_pushed();
-    }
-}
-
-/// A [`TupleSource`] over a borrowed row.
-struct SliceSource<'a>(&'a [u16]);
-
-impl TupleSource for SliceSource<'_> {
-    fn acquire(&mut self, attr: AttrId) -> u16 {
-        self.0[attr]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -379,14 +157,6 @@ mod tests {
             Attribute::new("t", 2, 1.0),
         ])
         .unwrap()
-    }
-
-    fn tuple(rng: &mut StdRng, regime: usize) -> Vec<u16> {
-        let t = u16::from(rng.gen_bool(0.5));
-        let (a, b) = if regime == 0 { (t, 1 - t) } else { (1 - t, t) };
-        let a = if rng.gen_bool(0.1) { 1 - a } else { a };
-        let b = if rng.gen_bool(0.1) { 1 - b } else { b };
-        vec![a, b, t]
     }
 
     #[test]
@@ -447,113 +217,6 @@ mod tests {
             WindowState { rows: vec![vec![0, 0, 0]; 9], ..good.clone() },
         ] {
             assert!(SlidingWindow::from_state(bad).is_err());
-        }
-    }
-
-    #[test]
-    fn tracker_degradation() {
-        let mut t = CostTracker::new(100.0, 0.5);
-        assert_eq!(t.degradation(), 0.0);
-        t.observe(100.0);
-        assert!(t.degradation() < 1e-9);
-        for _ in 0..20 {
-            t.observe(150.0);
-        }
-        assert!(t.degradation() > 0.4, "{}", t.degradation());
-        for _ in 0..50 {
-            t.observe(90.0);
-        }
-        assert_eq!(t.degradation(), 0.0);
-    }
-
-    #[test]
-    fn builds_initial_plan_after_min_fill() {
-        let s = schema();
-        let q = Query::new(vec![Pred::in_range(0, 1, 1), Pred::in_range(1, 1, 1)]).unwrap();
-        let mut ap = AdaptivePlanner::new(s, q, GreedyPlanner::new(4), 100, 50);
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut planned_at = None;
-        for i in 0..60 {
-            let (_, ad) = ap.ingest(tuple(&mut rng, 0)).unwrap();
-            if ad == Adaptation::ReplannedOnSchedule && planned_at.is_none() {
-                planned_at = Some(i);
-            }
-        }
-        assert_eq!(planned_at, Some(49), "plan appears exactly at min_fill");
-        assert!(ap.plan().is_some());
-    }
-
-    #[test]
-    fn replans_on_regime_flip_and_recovers_cost() {
-        let s = schema();
-        let q = Query::new(vec![Pred::in_range(0, 1, 1), Pred::in_range(1, 1, 1)]).unwrap();
-        let mut ap =
-            AdaptivePlanner::new(s, q, GreedyPlanner::new(4), 300, 150).with_drift_tolerance(0.1);
-        let mut rng = StdRng::seed_from_u64(2);
-        // Regime 0 until the plan settles.
-        let mut costs_before = Vec::new();
-        for _ in 0..600 {
-            if let (Some(out), _) = ap.ingest(tuple(&mut rng, 0)).unwrap() {
-                costs_before.push(out.cost);
-            }
-        }
-        let replans_before = ap.replans;
-        // Flip the regime; the frozen plan's cost rises, drift triggers.
-        let mut post_costs = Vec::new();
-        for _ in 0..900 {
-            if let (Some(out), _) = ap.ingest(tuple(&mut rng, 1)).unwrap() {
-                post_costs.push(out.cost);
-            }
-        }
-        assert!(ap.replans > replans_before, "drift must force a re-plan");
-        // The tail (after adaptation) should be much cheaper than the
-        // drift spike right after the flip.
-        let spike: f64 = post_costs[..100].iter().sum::<f64>() / 100.0;
-        let tail: f64 = post_costs[post_costs.len() - 200..].iter().sum::<f64>() / 200.0;
-        assert!(tail < spike * 0.85, "adaptation should recover: spike {spike:.1}, tail {tail:.1}");
-    }
-
-    #[test]
-    fn hysteresis_rejects_noise_triggers() {
-        let s = schema();
-        let q = Query::new(vec![Pred::in_range(0, 1, 1), Pred::in_range(1, 1, 1)]).unwrap();
-        // Interval-based re-planning on a STATIONARY stream: triggers
-        // fire but candidates are no better, so the plan stays.
-        let mut ap = AdaptivePlanner::new(s, q, GreedyPlanner::new(4), 200, 100)
-            .with_replan_interval(150)
-            .with_drift_tolerance(f64::INFINITY);
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut rejected = 0;
-        let mut switched = 0;
-        for _ in 0..1200 {
-            match ap.ingest(tuple(&mut rng, 0)).unwrap().1 {
-                Adaptation::CandidateRejected => rejected += 1,
-                Adaptation::ReplannedOnDrift => switched += 1,
-                Adaptation::ReplannedOnSchedule => {}
-                Adaptation::Kept => {}
-            }
-        }
-        assert_eq!(switched, 0);
-        assert!(rejected >= 3, "interval triggers should mostly be rejected: {rejected}");
-        // Replans counts only actual switches (scheduled installs of the
-        // very first plan are not switches).
-        assert!(ap.replans <= 2, "stationary stream must not thrash: {}", ap.replans);
-    }
-
-    #[test]
-    fn plans_stay_exact_throughout() {
-        let s = schema();
-        let q = Query::new(vec![Pred::in_range(0, 1, 1), Pred::in_range(1, 1, 1)]).unwrap();
-        let mut ap = AdaptivePlanner::new(s, q.clone(), GreedyPlanner::new(4), 150, 60)
-            .with_drift_tolerance(0.05);
-        let mut rng = StdRng::seed_from_u64(4);
-        for i in 0..1500 {
-            let regime = usize::from(i >= 700);
-            let t = tuple(&mut rng, regime);
-            let expected = q.eval(&t);
-            if let (Some(out), _) = ap.ingest(t).unwrap() {
-                assert_eq!(out.verdict, expected, "verdict must always be exact");
-            }
         }
     }
 }

@@ -9,8 +9,9 @@
 
 use acqp::core::prelude::*;
 use acqp::data::garden::{self, GardenAttrs, GardenConfig};
+use acqp::obs::Recorder;
 use acqp::sensornet::{
-    run_simulation, sim::fleet_from_trace, Basestation, EnergyModel, PlannerChoice,
+    run_simulation, sim::fleet_from_trace, Basestation, EnergyModel, PlannerChoice, SimOptions,
 };
 
 fn main() -> Result<()> {
@@ -60,7 +61,19 @@ fn main() -> Result<()> {
     ] {
         let p = bs.plan_query(&query, choice, alpha)?;
         let mut motes = fleet_from_trace(&live, fleet_size);
-        let report = run_simulation(&schema, &query, &p, &mut motes, &model, live.len());
+        let report = run_simulation(
+            &bs,
+            &query,
+            &p,
+            &mut motes,
+            &model,
+            live.len(),
+            ExecMode::Scalar,
+            &Recorder::disabled(),
+            &SimOptions::default(),
+        )?
+        .fault
+        .sim;
         assert!(report.all_correct);
         println!(
             "{name:<14} sensing {:>10.0} uJ  board {:>8.0} uJ  radio {:>7.0} uJ  \

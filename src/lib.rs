@@ -51,5 +51,5 @@ pub mod prelude {
     pub use acqp_gm::{ChowLiuTree, GmEstimator};
     pub use acqp_obs::{MemorySink, NoopSink, Recorder, Snapshot};
     pub use acqp_sensornet::{Basestation, EnergyModel, PlannerChoice, Topology};
-    pub use acqp_stream::{AdaptivePlanner, SlidingWindow};
+    pub use acqp_stream::SlidingWindow;
 }

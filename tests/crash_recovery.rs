@@ -1,8 +1,8 @@
-//! Workspace crash-recovery properties: the crashy engine is a
-//! transparent wrapper when nothing crashes, a checkpoint + WAL round
-//! trip reproduces the basestation's learned state bit for bit, and
-//! snapshot corruption degrades to WAL replay (or cold start) instead
-//! of panicking or poisoning the run.
+//! Workspace crash-recovery properties: journaling is transparent when
+//! nothing crashes, a checkpoint + WAL round trip reproduces the
+//! basestation's learned state bit for bit, and snapshot corruption
+//! degrades to WAL replay (or cold start) instead of panicking or
+//! poisoning the run.
 
 mod common;
 
@@ -12,11 +12,10 @@ use std::sync::Arc;
 use acqp::core::prelude::*;
 use acqp::obs::{NoopSink, Recorder};
 use acqp::persist::{BasestationCheckpoint, CheckpointStore, PlanRecord, WalRecord};
-use acqp::sensornet::sim::{
-    fleet_from_trace, run_simulation_adaptive, run_simulation_crashy, run_simulation_faulty,
-    AdaptiveConfig,
+use acqp::sensornet::sim::{fleet_from_trace, run_simulation, AdaptiveConfig, SimOptions};
+use acqp::sensornet::{
+    Basestation, CrashConfig, CrashReport, EnergyModel, FaultModel, PlannedQuery, PlannerChoice,
 };
-use acqp::sensornet::{Basestation, CrashConfig, EnergyModel, FaultModel, PlannerChoice};
 use acqp::stream::SlidingWindow;
 use common::instance_strategy;
 use proptest::prelude::*;
@@ -48,12 +47,38 @@ fn small_instance() -> (Schema, Dataset, Query) {
     (schema, data, query)
 }
 
+/// A scalar run of `planned` over a fresh 3-mote fleet on `live`.
+fn run(
+    bs: &Basestation<'_>,
+    query: &Query,
+    planned: &PlannedQuery,
+    live: &Dataset,
+    rec: &Recorder,
+    opts: &SimOptions,
+) -> CrashReport {
+    let mut motes = fleet_from_trace(live, 3);
+    let model = EnergyModel::mica_like();
+    run_simulation(bs, query, planned, &mut motes, &model, live.len(), ExecMode::Scalar, rec, opts)
+        .unwrap()
+}
+
+/// The crash config of a run that journals every engine event to `dir`
+/// but never snapshots and never crashes.
+fn journal_only(dir: PathBuf) -> CrashConfig {
+    CrashConfig {
+        checkpoint_dir: Some(dir),
+        checkpoint_every: 0,
+        crash_epochs: Vec::new(),
+        crash_rate: 0.0,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
-    /// With an empty crash schedule and no checkpoint directory, the
-    /// crash-capable engine must be invisible: every count and every
-    /// energy figure matches the plain faulty simulator bitwise.
+    /// With an empty crash schedule, a run that journals to a
+    /// checkpoint directory must be invisible: every count and every
+    /// energy figure matches the run without a crash config bitwise.
     #[test]
     fn empty_crash_schedule_is_bitwise_transparent(
         inst in instance_strategy(),
@@ -63,21 +88,16 @@ proptest! {
         prop_assume!(!live.is_empty());
         let bs = Basestation::new(inst.schema.clone(), &history);
         let planned = bs.plan_query(&inst.query, PlannerChoice::Heuristic(3), 0.0).unwrap();
-        let model = EnergyModel::mica_like();
         let faults = FaultModel::lossy(seed, 0.2);
         let rec = Recorder::new(Arc::new(NoopSink));
 
-        let mut motes = fleet_from_trace(&live, 3);
-        let base = run_simulation_faulty(
-            &inst.schema, &inst.query, &planned, &mut motes, &model, live.len(), &faults, &rec,
-        );
+        let opts = SimOptions { faults, ..SimOptions::default() };
+        let base = run(&bs, &inst.query, &planned, &live, &rec, &opts).fault;
 
-        let mut motes = fleet_from_trace(&live, 3);
-        let crashy = run_simulation_crashy(
-            &bs, &inst.query, &planned, &mut motes, &model, live.len(), &faults,
-            None, &CrashConfig::default(), &rec,
-        )
-        .unwrap();
+        let dir = tmp("transparent");
+        let opts = SimOptions { crash: journal_only(dir.clone()), ..opts };
+        let crashy = run(&bs, &inst.query, &planned, &live, &rec, &opts);
+        prop_assert!(dir.join("wal.log").exists(), "the run must have journaled");
 
         prop_assert_eq!(crashy.crashes, 0);
         prop_assert_eq!(crashy.cold_starts, 0);
@@ -104,9 +124,9 @@ proptest! {
         prop_assert_eq!(base.replans.len(), b.replans.len());
     }
 
-    /// The same transparency holds on the adaptive path: a crashy run
-    /// that never crashes replays the adaptive simulator exactly,
-    /// re-plan decisions included.
+    /// The same transparency holds on the adaptive path: a journaling
+    /// run that never crashes replays the adaptive run exactly, re-plan
+    /// decisions included.
     #[test]
     fn adaptive_crashy_without_crashes_matches_adaptive(
         inst in instance_strategy(),
@@ -116,23 +136,20 @@ proptest! {
         prop_assume!(!live.is_empty());
         let bs = Basestation::new(inst.schema.clone(), &history);
         let planned = bs.plan_query(&inst.query, PlannerChoice::Heuristic(3), 0.0).unwrap();
-        let model = EnergyModel::mica_like();
         let faults = FaultModel::lossy(seed, 0.1);
-        let cfg = AdaptiveConfig::default();
         let rec = Recorder::new(Arc::new(NoopSink));
 
-        let mut motes = fleet_from_trace(&live, 3);
-        let base = run_simulation_adaptive(
-            &bs, &inst.query, &planned, &mut motes, &model, live.len(), &faults, &cfg, &rec,
-        )
-        .unwrap();
+        let opts = SimOptions {
+            faults,
+            adaptive: Some(AdaptiveConfig::default()),
+            ..SimOptions::default()
+        };
+        let base = run(&bs, &inst.query, &planned, &live, &rec, &opts).fault;
 
-        let mut motes = fleet_from_trace(&live, 3);
-        let crashy = run_simulation_crashy(
-            &bs, &inst.query, &planned, &mut motes, &model, live.len(), &faults,
-            Some(&cfg), &CrashConfig::default(), &rec,
-        )
-        .unwrap();
+        let dir = tmp("adaptive_transparent");
+        let opts = SimOptions { crash: journal_only(dir.clone()), ..opts };
+        let crashy = run(&bs, &inst.query, &planned, &live, &rec, &opts);
+        prop_assert!(dir.join("wal.log").exists(), "the run must have journaled");
 
         prop_assert_eq!(crashy.crashes, 0);
         let b = &crashy.fault;
@@ -253,7 +270,6 @@ fn corrupt_snapshots_fall_back_to_wal_replay_without_panicking() {
     let (history, live) = data.split_at(0.5);
     let bs = Basestation::new(schema.clone(), &history);
     let planned = bs.plan_query(&query, PlannerChoice::Heuristic(3), 0.0).unwrap();
-    let model = EnergyModel::mica_like();
     let faults = FaultModel::lossy(7, 0.0);
     let rec = Recorder::new(Arc::new(NoopSink));
 
@@ -264,20 +280,8 @@ fn corrupt_snapshots_fall_back_to_wal_replay_without_panicking() {
         crash_epochs: vec![10],
         crash_rate: 0.0,
     };
-    let mut motes = fleet_from_trace(&live, 3);
-    let first = run_simulation_crashy(
-        &bs,
-        &query,
-        &planned,
-        &mut motes,
-        &model,
-        live.len(),
-        &faults,
-        None,
-        &crash,
-        &rec,
-    )
-    .unwrap();
+    let opts = SimOptions { faults: faults.clone(), crash, ..SimOptions::default() };
+    let first = run(&bs, &query, &planned, &live, &rec, &opts);
     assert_eq!(first.crashes, 1);
     assert!(first.checkpoints_written > 0);
     assert!(first.fault.sim.all_correct);
@@ -307,20 +311,8 @@ fn corrupt_snapshots_fall_back_to_wal_replay_without_panicking() {
         crash_epochs: vec![6],
         crash_rate: 0.0,
     };
-    let mut motes = fleet_from_trace(&live, 3);
-    let second = run_simulation_crashy(
-        &bs,
-        &query,
-        &planned,
-        &mut motes,
-        &model,
-        live.len(),
-        &faults,
-        None,
-        &crash,
-        &rec,
-    )
-    .unwrap();
+    let opts = SimOptions { faults, crash, ..SimOptions::default() };
+    let second = run(&bs, &query, &planned, &live, &rec, &opts);
     assert_eq!(second.crashes, 1);
     assert_eq!(second.cold_starts, 1);
     assert!(second.corrupt_snapshots >= snaps);

@@ -1,12 +1,12 @@
 //! Integration tests for the §7 extensions working together across
-//! crates: existential queries over generated data, streaming
-//! adaptation, board-aware costs through the sensornet energy model,
-//! and the Chow–Liu estimator inside the adaptive pipeline.
+//! crates: existential queries over generated data, board-aware costs
+//! through the sensornet energy model, and the Chow–Liu estimator fed
+//! from a streaming window.
 
 use acqp::core::prelude::*;
 use acqp::data::garden::{self, GardenAttrs, GardenConfig};
 use acqp::data::lab::{self, attrs as lab_attrs, LabConfig};
-use acqp::stream::{AdaptivePlanner, SlidingWindow};
+use acqp::stream::SlidingWindow;
 
 /// Existential query over the garden twin: "is any mote freezing?" —
 /// plans stay exact and the conditional planner at least matches the
@@ -33,32 +33,6 @@ fn existential_over_garden() {
     let rs = measure_exists(&seq, &q, &g.schema, &train).mean_cost;
     let rc = measure_exists(&cond, &q, &g.schema, &train).mean_cost;
     assert!(rc <= rs + 1e-6, "conditional {rc} must not lose to sequential {rs} on train");
-}
-
-/// The adaptive planner over the lab twin with a day/night regime
-/// imbalance in the feed order: verdicts stay exact for every tuple.
-#[test]
-fn adaptive_planner_over_lab_rows() {
-    let g = lab::generate(&LabConfig { motes: 6, epochs: 400, ..LabConfig::default() });
-    let light_hi = g.schema.domain(lab_attrs::LIGHT) - 1;
-    let q = Query::checked(
-        vec![
-            Pred::in_range(lab_attrs::LIGHT, 18, light_hi),
-            Pred::in_range(lab_attrs::TEMP, 0, 28),
-        ],
-        &g.schema,
-    )
-    .unwrap();
-    let mut ap = AdaptivePlanner::new(g.schema.clone(), q.clone(), GreedyPlanner::new(4), 400, 200)
-        .with_drift_tolerance(0.1);
-    for row in 0..g.data.len() {
-        let tuple = g.data.row(row);
-        let expect = q.eval(&tuple);
-        if let (Some(out), _) = ap.ingest(tuple).unwrap() {
-            assert_eq!(out.verdict, expect, "row {row}");
-        }
-    }
-    assert!(ap.plan().is_some());
 }
 
 /// Window snapshots feed the Chow–Liu estimator: the whole streaming +
@@ -91,8 +65,9 @@ fn window_snapshot_feeds_gm_estimator() {
 /// mote-level ledger.
 #[test]
 fn board_costs_compose_with_sensornet_energy() {
+    use acqp::obs::Recorder;
     use acqp::sensornet::{
-        run_simulation, sim::fleet_from_trace, Basestation, EnergyModel, PlannerChoice,
+        run_simulation, sim::fleet_from_trace, Basestation, EnergyModel, PlannerChoice, SimOptions,
     };
     let g = garden::generate(&GardenConfig { epochs: 800, ..GardenConfig::garden5() });
     let (history, live) = g.data.split_at(0.5);
@@ -108,7 +83,20 @@ fn board_costs_compose_with_sensornet_energy() {
     let model =
         EnergyModel::mica_like().with_board(vec![layout.temp(0), layout.humidity(0)], 200.0);
     let mut motes = fleet_from_trace(&live, 2);
-    let rep = run_simulation(&g.schema, &q, &planned, &mut motes, &model, live.len());
+    let rep = run_simulation(
+        &bs,
+        &q,
+        &planned,
+        &mut motes,
+        &model,
+        live.len(),
+        ExecMode::Scalar,
+        &Recorder::disabled(),
+        &SimOptions::default(),
+    )
+    .unwrap()
+    .fault
+    .sim;
     assert!(rep.all_correct);
     // The board powers up at most once per tuple even when both sensors
     // fire.

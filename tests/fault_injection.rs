@@ -5,10 +5,11 @@ mod common;
 
 use std::sync::Arc;
 
+use acqp::core::exec::ExecMode;
 use acqp::obs::{NoopSink, Recorder};
 use acqp::sensornet::{
-    attempt_packet, run_simulation, run_simulation_faulty, sim::fleet_from_trace, Basestation,
-    EnergyModel, FaultModel, FaultStats, FaultStream, PlannerChoice, ReplanBudget,
+    attempt_packet, run_simulation, sim::fleet_from_trace, Basestation, EnergyModel, FaultModel,
+    FaultStats, FaultStream, PlannerChoice, ReplanBudget, SimOptions,
 };
 use common::{instance_strategy, Instance};
 use proptest::prelude::*;
@@ -22,16 +23,11 @@ fn simulate(inst: &Instance, faults: &FaultModel) -> acqp::sensornet::FaultRepor
     let model = EnergyModel::mica_like();
     let rec = Recorder::new(Arc::new(NoopSink));
     let mut motes = fleet_from_trace(&live, 3);
-    run_simulation_faulty(
-        &inst.schema,
-        &inst.query,
-        &planned,
-        &mut motes,
-        &model,
-        live.len(),
-        faults,
-        &rec,
-    )
+    let opts = SimOptions { faults: faults.clone(), ..SimOptions::default() };
+    let mode = ExecMode::Scalar;
+    run_simulation(&bs, &inst.query, &planned, &mut motes, &model, live.len(), mode, &rec, &opts)
+        .unwrap()
+        .fault
 }
 
 proptest! {
@@ -52,8 +48,12 @@ proptest! {
 
         let mut motes = fleet_from_trace(&live, 3);
         let lossless = run_simulation(
-            &inst.schema, &inst.query, &planned, &mut motes, &model, live.len(),
-        );
+            &bs, &inst.query, &planned, &mut motes, &model, live.len(), ExecMode::Scalar,
+            &Recorder::disabled(), &SimOptions::default(),
+        )
+        .unwrap()
+        .fault
+        .sim;
         let faulty = simulate(&inst, &FaultModel::lossy(seed, 0.0));
 
         prop_assert_eq!(lossless.epochs, faulty.sim.epochs);

@@ -6,8 +6,9 @@
 
 use acqp::core::prelude::*;
 use acqp::data::garden::{self, GardenAttrs, GardenConfig};
+use acqp::obs::Recorder;
 use acqp::sensornet::{
-    run_simulation, sim::fleet_from_trace, Basestation, EnergyModel, PlannerChoice,
+    run_simulation, sim::fleet_from_trace, Basestation, EnergyModel, PlannerChoice, SimOptions,
 };
 
 fn setup() -> (acqp::data::Generated, Query) {
@@ -36,7 +37,20 @@ fn full_pipeline_is_exact_and_accounts_energy() {
         assert_eq!(Plan::decode(&planned.wire).unwrap(), planned.plan);
 
         let mut motes = fleet_from_trace(&live, 4);
-        let rep = run_simulation(&g.schema, &query, &planned, &mut motes, &model, live.len());
+        let rep = run_simulation(
+            &bs,
+            &query,
+            &planned,
+            &mut motes,
+            &model,
+            live.len(),
+            ExecMode::Scalar,
+            &Recorder::disabled(),
+            &SimOptions::default(),
+        )
+        .unwrap()
+        .fault
+        .sim;
         assert!(rep.all_correct, "{choice:?} must stay exact on live data");
         assert_eq!(rep.tuples, 4 * live.len());
         // Every mote paid for receiving the plan.
@@ -79,14 +93,40 @@ fn board_powerup_reduces_to_zero_without_boards() {
 
     let no_board = EnergyModel::mica_like();
     let mut motes = fleet_from_trace(&live.take(200), 2);
-    let rep = run_simulation(&g.schema, &query, &planned, &mut motes, &no_board, 200);
+    let rep = run_simulation(
+        &bs,
+        &query,
+        &planned,
+        &mut motes,
+        &no_board,
+        200,
+        ExecMode::Scalar,
+        &Recorder::disabled(),
+        &SimOptions::default(),
+    )
+    .unwrap()
+    .fault
+    .sim;
     assert_eq!(rep.network.board_uj, 0.0);
 
     let layout = GardenAttrs::new(5);
     let with_board =
         EnergyModel::mica_like().with_board((0..5).map(|m| layout.temp(m)).collect(), 100.0);
     let mut motes = fleet_from_trace(&live.take(200), 2);
-    let rep2 = run_simulation(&g.schema, &query, &planned, &mut motes, &with_board, 200);
+    let rep2 = run_simulation(
+        &bs,
+        &query,
+        &planned,
+        &mut motes,
+        &with_board,
+        200,
+        ExecMode::Scalar,
+        &Recorder::disabled(),
+        &SimOptions::default(),
+    )
+    .unwrap()
+    .fault
+    .sim;
     assert!(rep2.network.board_uj > 0.0);
     // Identical sensing either way — boards only add power-up energy.
     assert!((rep.network.sensing_uj - rep2.network.sensing_uj).abs() < 1e-9);

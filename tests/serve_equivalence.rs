@@ -4,7 +4,7 @@
 //! Two guarantees are pinned over randomized instances:
 //!
 //! 1. **Transparency** — a service run with a single query spanning the
-//!    whole trace is *bitwise* identical to `run_simulation_mode`:
+//!    whole trace is *bitwise* identical to `run_simulation`:
 //!    same tuples, results, per-mote and network energy ledgers to the
 //!    bit, in both exec modes. The service's sharing machinery must be
 //!    invisible when there is nothing to share.
@@ -19,7 +19,7 @@
 use acqp::core::exec::ExecMode;
 use acqp::core::prelude::*;
 use acqp::obs::Recorder;
-use acqp::sensornet::sim::{fleet_from_trace, run_simulation_mode};
+use acqp::sensornet::sim::{fleet_from_trace, run_simulation, SimOptions};
 use acqp::sensornet::{Basestation, EnergyLedger, EnergyModel, ScheduleEntry};
 use acqp::serve::{serve_schedule, ServeConfig, ServeReport};
 use proptest::prelude::*;
@@ -72,8 +72,8 @@ proptest! {
             .expect("planning a checked query");
         for mode in [ExecMode::Scalar, ExecMode::Vectorized] {
             let mut fleet = fleet_from_trace(&inst.data, 2);
-            let sim = run_simulation_mode(
-                &inst.schema,
+            let sim = run_simulation(
+                &bs,
                 &inst.query,
                 &planned,
                 &mut fleet,
@@ -81,7 +81,11 @@ proptest! {
                 epochs,
                 mode,
                 &Recorder::disabled(),
-            );
+                &SimOptions::default(),
+            )
+            .expect("simulating a certified plan")
+            .fault
+            .sim;
             let rep = serve_instance(&inst, &schedule, mode);
             prop_assert_eq!(rep.service.tuples(), sim.tuples, "{:?}: tuples", mode);
             prop_assert_eq!(rep.service.results(), sim.results, "{:?}: results", mode);
