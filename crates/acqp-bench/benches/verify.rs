@@ -8,11 +8,12 @@
 //!   basestation pays once per dissemination and once per recovered
 //!   checkpoint plan; it should be microscopic next to planning.
 //! * **checked vs certified interpretation** — per-tuple trace replay
-//!   through `execute_wire` (per-leaf validation + order allocation on
-//!   every tuple) against `execute_wire_verified` (validation hoisted
-//!   into the one-time certificate, stack-staged order). Both paths
-//!   replay the identical held-out window and must agree bitwise on
-//!   verdicts and costs before any clock is trusted.
+//!   through `execute_wire` (per-leaf validation on every tuple)
+//!   against `execute_wire_verified` (validation hoisted into the
+//!   one-time certificate), each reusing one tuple state across the
+//!   window as the engines do. Both paths replay the identical held-out
+//!   window and must agree bitwise on verdicts and costs before any
+//!   clock is trusted.
 //!
 //! Acceptance gate (lenient — the fast path removes per-tuple work but
 //! both interpreters are already cheap next to acquisition): the
@@ -97,22 +98,29 @@ fn verify_throughput(scs: &[Scenario]) -> (f64, f64) {
     (per_sec, bytes as f64 / best.max(1e-12))
 }
 
+/// Row `r` of the scenario's live window through one interpreter on
+/// `st`; returns the verdict.
+fn interpret(sc: &Scenario, r: usize, verified: bool, st: &mut TupleState) -> bool {
+    let mut src = RowSource::new(&sc.live, r);
+    if verified {
+        execute_wire_verified(&sc.wire, &sc.query, &sc.schema, st, &mut src)
+    } else {
+        execute_wire(&sc.wire, &sc.query, &sc.schema, st, &mut src).expect("valid wire")
+    }
+}
+
 /// Replays the live window through one interpreter, returning best-of
 /// tuples/sec and the summed cost for the equal-work assertion.
 fn replay_tuples_per_sec(sc: &Scenario, verified: bool) -> (f64, f64) {
     let mut best = f64::INFINITY;
     let mut total = 0.0f64;
+    let mut st = TupleState::new(sc.schema.len());
     for _ in 0..PASSES {
         let t0 = Instant::now();
         let mut sum = 0.0f64;
         for r in 0..sc.live.len() {
-            let mut src = RowSource::new(&sc.live, r);
-            let out = if verified {
-                execute_wire_verified(&sc.wire, &sc.query, &sc.schema, &mut src)
-            } else {
-                execute_wire(&sc.wire, &sc.query, &sc.schema, &mut src).expect("valid wire")
-            };
-            sum += out.cost;
+            interpret(sc, r, verified, &mut st);
+            sum += st.cost();
         }
         best = best.min(t0.elapsed().as_secs_f64());
         total = sum;
@@ -137,18 +145,13 @@ fn main() {
     // Differential before the clocks: both interpreters agree bitwise
     // on every row of every scenario.
     for sc in &scs {
+        let (mut checked, mut fast) =
+            (TupleState::new(sc.schema.len()), TupleState::new(sc.schema.len()));
         for r in 0..sc.live.len() {
-            let checked =
-                execute_wire(&sc.wire, &sc.query, &sc.schema, &mut RowSource::new(&sc.live, r))
-                    .expect("valid wire");
-            let fast = execute_wire_verified(
-                &sc.wire,
-                &sc.query,
-                &sc.schema,
-                &mut RowSource::new(&sc.live, r),
-            );
-            assert_eq!(checked.verdict, fast.verdict, "{} row {r}", sc.label);
-            assert_eq!(checked.cost.to_bits(), fast.cost.to_bits(), "{} row {r}", sc.label);
+            let checked_verdict = interpret(sc, r, false, &mut checked);
+            let fast_verdict = interpret(sc, r, true, &mut fast);
+            assert_eq!(checked_verdict, fast_verdict, "{} row {r}", sc.label);
+            assert_eq!(checked.cost().to_bits(), fast.cost().to_bits(), "{} row {r}", sc.label);
         }
     }
 

@@ -378,6 +378,16 @@ impl TupleState {
         TupleState { cache: vec![None; n_attrs], mask: 0, cost: 0.0, acquired: Vec::new() }
     }
 
+    /// Returns the state to [`TupleState::new`]`(n_attrs)` for the next
+    /// tuple, keeping its buffers' capacity.
+    pub fn reset(&mut self, n_attrs: usize) {
+        self.cache.clear();
+        self.cache.resize(n_attrs, None);
+        self.mask = 0;
+        self.cost = 0.0;
+        self.acquired.clear();
+    }
+
     /// Returns `attr`'s value, acquiring (and charging) it on first use;
     /// re-reads are free per Eq. (1).
     #[inline]

@@ -11,30 +11,32 @@
 
 use acqp_core::costmodel::CostModel;
 use acqp_core::exec::{eval_seq_leaf, TupleState};
-use acqp_core::{Error, ExecOutcome, Query, Result, Schema, TupleSource};
+use acqp_core::{Error, Query, Result, Schema, TupleSource};
 
 /// Executes the wire-encoded plan for one tuple, charging acquisition
 /// costs from `schema` exactly like [`acqp_core::execute`] does for the
-/// decoded tree. Acquisition state and leaf evaluation go through the
-/// shared scalar kernel ([`TupleState`] / [`eval_seq_leaf`]) — the seed
-/// interpreter duplicated that logic, which let the paths drift.
-/// Sequential bodies are validated eagerly: a leaf naming an
-/// out-of-range predicate is rejected before any of it runs.
+/// decoded tree, and returns the verdict. `st` is reset first and
+/// afterwards holds the tuple's cost and acquisition order, so one
+/// caller-owned state serves every tuple without allocating.
+/// Acquisition state and leaf evaluation go through the shared scalar
+/// kernel ([`TupleState`] / [`eval_seq_leaf`]) — the seed interpreter
+/// duplicated that logic, which let the paths drift. Sequential bodies
+/// are validated eagerly: a leaf naming an out-of-range predicate is
+/// rejected before any of it runs.
 pub fn execute_wire(
     bytes: &[u8],
     query: &Query,
     schema: &Schema,
+    st: &mut TupleState,
     src: &mut impl TupleSource,
-) -> Result<ExecOutcome> {
+) -> Result<bool> {
     let model = CostModel::PerAttribute;
-    let mut st = TupleState::new(schema.len());
+    st.reset(schema.len());
     let mut pos = 0usize;
     loop {
         let tag = *bytes.get(pos).ok_or(Error::BadWireFormat { offset: pos, what: "truncated" })?;
         match tag {
-            0x00 | 0x01 => {
-                return Ok(st.into_outcome(tag == 0x01));
-            }
+            0x00 | 0x01 => return Ok(tag == 0x01),
             0x02 => {
                 let len = *bytes
                     .get(pos + 1)
@@ -43,8 +45,10 @@ pub fn execute_wire(
                 let body = bytes
                     .get(pos + 2..pos + 2 + len)
                     .ok_or(Error::BadWireFormat { offset: pos + 2, what: "truncated seq body" })?;
-                let mut order = Vec::with_capacity(body.len());
-                for &pb in body {
+                // Seq bodies are length-prefixed by a u8, so 256 slots
+                // always fit.
+                let mut order = [0usize; 256];
+                for (slot, &pb) in order.iter_mut().zip(body) {
                     let j = pb as usize;
                     if j >= query.len() {
                         return Err(Error::BadWireFormat {
@@ -52,10 +56,9 @@ pub fn execute_wire(
                             what: "predicate index out of range",
                         });
                     }
-                    order.push(j);
+                    *slot = j;
                 }
-                let verdict = eval_seq_leaf(&mut st, &order, query, schema, &model, src, None);
-                return Ok(st.into_outcome(verdict));
+                return Ok(eval_seq_leaf(st, &order[..len], query, schema, &model, src, None));
             }
             0x03 => {
                 let Some(&[a, c0, c1]) = bytes.get(pos + 1..pos + 4) else {
@@ -82,32 +85,33 @@ pub fn execute_wire(
 }
 
 /// Executes a **verified** wire plan for one tuple: the checked-free
-/// fast path. The caller must hold an `acqp-verify` certificate for
+/// fast path, with the same `st` contract as [`execute_wire`]. The
+/// caller must hold an `acqp-verify` certificate for
 /// `(bytes, query, schema)` — structural and semantic validity are
-/// assumed, so the per-tuple predicate-index validation and the
-/// per-leaf order allocation of [`execute_wire`] are hoisted out
-/// entirely (the order is staged in a stack scratch instead). The
-/// function is still *total*: on unverified garbage it degrades to a
-/// reject verdict — never a panic, never an acquisition outside the
-/// schema — but its verdict on such bytes is otherwise unspecified.
+/// assumed, so the per-tuple predicate-index validation of
+/// [`execute_wire`] is hoisted out entirely. The function is still
+/// *total*: on unverified garbage it degrades to a reject verdict —
+/// never a panic, never an acquisition outside the schema — but its
+/// verdict on such bytes is otherwise unspecified.
 pub fn execute_wire_verified(
     bytes: &[u8],
     query: &Query,
     schema: &Schema,
+    st: &mut TupleState,
     src: &mut impl TupleSource,
-) -> ExecOutcome {
+) -> bool {
     let model = CostModel::PerAttribute;
-    let mut st = TupleState::new(schema.len());
+    st.reset(schema.len());
     // Seq bodies are length-prefixed by a u8, so 256 slots always fit.
     let mut order = [0usize; 256];
     let mut pos = 0usize;
     loop {
         match bytes.get(pos).copied() {
-            Some(0x01) => return st.into_outcome(true),
+            Some(0x01) => return true,
             Some(0x02) => {
                 let len = bytes.get(pos + 1).copied().unwrap_or(0) as usize;
                 let Some(body) = bytes.get(pos + 2..pos + 2 + len) else {
-                    return st.into_outcome(false);
+                    return false;
                 };
                 for (slot, &pb) in order.iter_mut().zip(body) {
                     let j = pb as usize;
@@ -115,21 +119,19 @@ pub fn execute_wire_verified(
                     // guard keeps the path total instead of letting
                     // `query.pred(j)` panic downstream.
                     if j >= query.len() {
-                        return st.into_outcome(false);
+                        return false;
                     }
                     *slot = j;
                 }
-                let verdict =
-                    eval_seq_leaf(&mut st, &order[..len], query, schema, &model, src, None);
-                return st.into_outcome(verdict);
+                return eval_seq_leaf(st, &order[..len], query, schema, &model, src, None);
             }
             Some(0x03) => {
                 let Some(&[a, c0, c1]) = bytes.get(pos + 1..pos + 4) else {
-                    return st.into_outcome(false);
+                    return false;
                 };
                 let attr = a as usize;
                 if attr >= schema.len() {
-                    return st.into_outcome(false);
+                    return false;
                 }
                 let cut = u16::from_le_bytes([c0, c1]);
                 let v = st.fetch(attr, schema, &model, src, None);
@@ -141,7 +143,7 @@ pub fn execute_wire_verified(
             }
             // 0x00, an out-of-grammar tag, or truncation: reject. Only
             // 0x00 is reachable under a certificate.
-            _ => return st.into_outcome(false),
+            _ => return false,
         }
     }
 }
@@ -258,15 +260,19 @@ mod tests {
     #[test]
     fn interpreter_matches_tree_executor_on_every_row() {
         let (schema, data, query) = setup();
+        // One state for every row; starting it empty also checks that
+        // `reset` sizes it to the schema.
+        let mut st = TupleState::new(0);
         for plan in plans() {
             let wire = plan.encode();
             for row in 0..data.len() {
                 let tree = execute(&plan, &query, &schema, &mut RowSource::new(&data, row));
-                let byte =
-                    execute_wire(&wire, &query, &schema, &mut RowSource::new(&data, row)).unwrap();
-                assert_eq!(tree.verdict, byte.verdict, "row {row} plan {plan:?}");
-                assert_eq!(tree.cost, byte.cost);
-                assert_eq!(tree.acquired, byte.acquired);
+                let verdict =
+                    execute_wire(&wire, &query, &schema, &mut st, &mut RowSource::new(&data, row))
+                        .unwrap();
+                assert_eq!(tree.verdict, verdict, "row {row} plan {plan:?}");
+                assert_eq!(tree.cost, st.cost());
+                assert_eq!(tree.acquired, st.acquired());
             }
         }
     }
@@ -274,16 +280,16 @@ mod tests {
     #[test]
     fn verified_path_matches_checked_path_on_every_row() {
         let (schema, data, query) = setup();
+        let (mut checked, mut fast) = (TupleState::new(0), TupleState::new(0));
         for plan in plans() {
             let wire = plan.encode();
             for row in 0..data.len() {
-                let checked =
-                    execute_wire(&wire, &query, &schema, &mut RowSource::new(&data, row)).unwrap();
-                let fast =
-                    execute_wire_verified(&wire, &query, &schema, &mut RowSource::new(&data, row));
-                assert_eq!(checked.verdict, fast.verdict, "row {row} plan {plan:?}");
-                assert_eq!(checked.cost, fast.cost);
-                assert_eq!(checked.acquired, fast.acquired);
+                let mut src = RowSource::new(&data, row);
+                let c = execute_wire(&wire, &query, &schema, &mut checked, &mut src).unwrap();
+                let f = execute_wire_verified(&wire, &query, &schema, &mut fast, &mut src);
+                assert_eq!(c, f, "row {row} plan {plan:?}");
+                assert_eq!(checked.cost(), fast.cost());
+                assert_eq!(checked.acquired(), fast.acquired());
             }
         }
     }
@@ -313,11 +319,13 @@ mod tests {
     fn garbage_rejected() {
         let (schema, data, query) = setup();
         let mut src = RowSource::new(&data, 0);
-        assert!(execute_wire(&[], &query, &schema, &mut src).is_err());
-        assert!(execute_wire(&[0x07], &query, &schema, &mut src).is_err());
+        let mut st = TupleState::new(schema.len());
+        let mut run = |wire: &[u8]| execute_wire(wire, &query, &schema, &mut st, &mut src);
+        assert!(run(&[]).is_err());
+        assert!(run(&[0x07]).is_err());
         // Split referencing an out-of-schema attribute.
-        assert!(execute_wire(&[0x03, 99, 0, 0, 0x00, 0x01], &query, &schema, &mut src).is_err());
+        assert!(run(&[0x03, 99, 0, 0, 0x00, 0x01]).is_err());
         // Seq referencing an out-of-range predicate.
-        assert!(execute_wire(&[0x02, 1, 9], &query, &schema, &mut src).is_err());
+        assert!(run(&[0x02, 1, 9]).is_err());
     }
 }

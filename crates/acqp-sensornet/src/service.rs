@@ -30,8 +30,8 @@
 use std::collections::BTreeMap;
 
 use acqp_core::{
-    AttrId, BatchExecutor, BatchOutcome, ColumnBatch, CostModel, Error, ExecMode, ExecOutcome,
-    Plan, PreparedPlan, Query, QueryStatus, Result, Schema, SharedScratch, SharedSource,
+    AttrId, BatchExecutor, BatchOutcome, ColumnBatch, CostModel, Error, ExecMode, Plan,
+    PreparedPlan, Query, QueryStatus, Result, Schema, SharedScratch, SharedSource, TupleState,
     BATCH_ROWS,
 };
 use acqp_obs::{Counter, FlightRecorder, Hist, Recorder};
@@ -335,23 +335,78 @@ pub struct ServiceOptions {
     pub collect_rows: bool,
 }
 
-/// Vectorized-mode precomputation for one live query: the prepared
-/// plan plus, per mote, the batch executor's per-epoch verdicts and
-/// acquisition chains over the mote's trace window. A chain is stored
-/// as a `(start, len)` span of the prepared plan's arena and borrowed
-/// from it when the slot is merged.
+/// Vectorized-mode state for one live query: the prepared plan plus,
+/// per mote, the batch executor's verdicts and acquisition chains for
+/// one window of at most [`BATCH_ROWS`] epochs starting at
+/// [`Batched::base`]. A chain is stored as a `(start, len)` span of the
+/// prepared plan's arena and borrowed from it when the slot is merged.
+/// The epoch loop refills the window when the query's epoch reaches its
+/// end, so a live query holds O(`BATCH_ROWS` × motes) precomputed
+/// entries, not O(lifetime × motes).
 struct Batched {
     prepared: PreparedPlan,
-    /// Epoch the per-mote arrays start at (re-set on drift readmission).
+    /// First epoch of the current window: the admission (or drift
+    /// readmission) epoch plus a multiple of [`BATCH_ROWS`].
     base: usize,
     motes: Vec<MotePre>,
 }
 
-/// One mote's share of a [`Batched`] precomputation, indexed by epoch
-/// offset from [`Batched::base`].
+/// One mote's share of a [`Batched`] window, indexed by epoch offset
+/// from [`Batched::base`]: at most [`BATCH_ROWS`] entries, fewer where
+/// the window is clipped to the query's end or the mote's trace.
+#[derive(Default)]
 struct MotePre {
     verdicts: Vec<bool>,
     chains: Vec<(u32, u32)>,
+}
+
+impl Batched {
+    /// Prepares `planned` for batch execution and fills its first
+    /// window at epoch `from` (the query is live until `end`).
+    #[allow(clippy::too_many_arguments)]
+    fn new(
+        exec: &mut BatchExecutor,
+        out: &mut BatchOutcome,
+        planned: &PlannedQuery,
+        query: &Query,
+        schema: &Schema,
+        motes: &[Mote],
+        from: usize,
+        end: usize,
+    ) -> Batched {
+        let prepared = PreparedPlan::new(&planned.plan, query, schema, &CostModel::PerAttribute);
+        let pres = std::iter::repeat_with(MotePre::default).take(motes.len()).collect();
+        let mut b = Batched { prepared, base: from, motes: pres };
+        b.refill(exec, out, motes, from, end);
+        b
+    }
+
+    /// Replaces the window with epochs `from..from + BATCH_ROWS`,
+    /// clipped to the query's `end` and to each mote's trace, reusing
+    /// every mote's buffers.
+    fn refill(
+        &mut self,
+        exec: &mut BatchExecutor,
+        out: &mut BatchOutcome,
+        motes: &[Mote],
+        from: usize,
+        end: usize,
+    ) {
+        self.base = from;
+        let stop = end.min(from + BATCH_ROWS);
+        for (pre, mote) in self.motes.iter_mut().zip(motes) {
+            pre.verdicts.clear();
+            pre.chains.clear();
+            let len = stop.min(mote.epochs()).saturating_sub(from);
+            if len == 0 {
+                continue;
+            }
+            let batch = ColumnBatch::slice(mote.trace(), from, len);
+            exec.execute_batch(&self.prepared, &batch, None, out);
+            pre.verdicts.extend((0..len).map(|slot| out.verdict(slot)));
+            pre.chains.extend((0..len).map(|slot| out.chain_span(slot)));
+        }
+    }
 }
 
 /// One admitted, still-running query.
@@ -524,10 +579,11 @@ impl VerifyMetrics {
 /// lands on its first attempt and every read succeeds, so the run is
 /// the lossless service.
 ///
-/// The vectorized executor precomputes verdicts from admission-time
-/// plans, which is incompatible with lossy sensing and crash-induced
-/// replans — `ExecMode::Vectorized` is rejected unless the fault model
-/// is lossless and crashes are disabled.
+/// The vectorized executor precomputes verdicts one [`BATCH_ROWS`]
+/// window ahead from the admitted plan, which is incompatible with
+/// lossy sensing and crash-induced replans — `ExecMode::Vectorized` is
+/// rejected unless the fault model is lossless and crashes are
+/// disabled.
 ///
 /// Returns one [`QueryOutcome`] per schedule entry, in schedule order.
 #[allow(clippy::too_many_arguments)]
@@ -613,7 +669,9 @@ pub fn run_service_with(
         live: Vec::new(),
         queue: Vec::new(),
         scratch: SharedScratch::new(schema.len()),
+        tuple: TupleState::new(schema.len()),
         slot_outs: Vec::new(),
+        slot_chains: Vec::new(),
         merged: Vec::new(),
         exec: BatchExecutor::new(),
         out: BatchOutcome::default(),
@@ -712,10 +770,14 @@ struct ServeEngine<'a> {
     /// Admission queue, in schedule order.
     queue: Vec<Pending>,
     scratch: SharedScratch,
-    /// Per-slot buffers, reused across slots: the scalar outcomes of
-    /// the live queries whose plan the mote holds, in live order, and
-    /// the vectorized merged chain.
-    slot_outs: Vec<ExecOutcome>,
+    /// Per-slot buffers, reused across slots. Scalar mode: one tuple
+    /// state for the interpreter, and per live query whose plan the
+    /// mote holds (in live order) its verdict and the end of its chain
+    /// in the flat `slot_chains` arena. Vectorized mode: the merged
+    /// chain.
+    tuple: TupleState,
+    slot_outs: Vec<(bool, usize)>,
+    slot_chains: Vec<AttrId>,
     merged: Vec<AttrId>,
     exec: BatchExecutor,
     out: BatchOutcome,
@@ -1010,8 +1072,9 @@ impl ServeEngine<'_> {
         Ok(plan)
     }
 
-    /// The vectorized-mode precomputation of `planned` for entry `idx`
-    /// over epochs `from..end`; `None` in scalar mode.
+    /// The vectorized-mode state of `planned` for entry `idx`, live
+    /// until `end`, with its first window filled at `from`; `None` in
+    /// scalar mode.
     fn batch(
         &mut self,
         planned: &PlannedQuery,
@@ -1021,7 +1084,7 @@ impl ServeEngine<'_> {
     ) -> Option<Box<Batched>> {
         match self.mode {
             ExecMode::Scalar => None,
-            ExecMode::Vectorized => Some(Box::new(precompute_batches(
+            ExecMode::Vectorized => Some(Box::new(Batched::new(
                 &mut self.exec,
                 &mut self.out,
                 planned,
@@ -1140,13 +1203,24 @@ impl ServeEngine<'_> {
             start_seq,
             live,
             scratch,
+            tuple,
             slot_outs,
+            slot_chains,
             merged,
+            exec,
+            out,
             rob,
             demanded,
             performed,
             ..
         } = self;
+        // A vectorized query whose window ran out gets the next one,
+        // starting here: windows stay aligned to admission + k·BATCH_ROWS.
+        for q in live.iter_mut() {
+            if let Some(b) = q.batched.as_mut().filter(|b| e >= b.base + BATCH_ROWS) {
+                b.refill(exec, out, motes, e, q.end);
+            }
+        }
         let faults = &opts.faults;
         let env = SlotEnv {
             model,
@@ -1175,6 +1249,7 @@ impl ServeEngine<'_> {
             let reads = match mode {
                 ExecMode::Scalar => {
                     slot_outs.clear();
+                    slot_chains.clear();
                     let aborted_mask = {
                         // One metered source per slot: its board
                         // power-up state spans every query in the slot,
@@ -1193,29 +1268,35 @@ impl ServeEngine<'_> {
                             // verified at admission (or at checkpoint
                             // restore), so the checked-free interpreter
                             // path is sound.
-                            slot_outs.push(execute_wire_verified(
+                            let verdict = execute_wire_verified(
                                 &q.planned.wire,
                                 &schedule[q.idx].query,
                                 schema,
+                                tuple,
                                 &mut shared,
-                            ));
+                            );
+                            slot_chains.extend_from_slice(tuple.acquired());
+                            slot_outs.push((verdict, slot_chains.len()));
                         }
                         src.aborted_mask()
                     };
                     let holders = live.iter_mut().filter(|q| q.mote_has[mi]);
-                    for (q, o) in holders.zip(slot_outs.iter()) {
+                    let mut start = 0;
+                    for (q, &(verdict, end)) in holders.zip(slot_outs.iter()) {
+                        let chain = &slot_chains[start..end];
+                        start = end;
                         let query = &schedule[q.idx].query;
                         account_slot(
                             &mut q.tally,
                             query,
                             mote,
                             e,
-                            o.verdict,
-                            &o.acquired,
+                            verdict,
+                            chain,
                             aborted_mask,
                             &env,
                         );
-                        *demanded += o.acquired.len() as u64;
+                        *demanded += chain.len() as u64;
                     }
                     for q in live.iter_mut().filter(|q| !q.mote_has[mi]) {
                         q.tally.missed_epochs += 1;
@@ -1232,7 +1313,7 @@ impl ServeEngine<'_> {
                     let mut seen = 0u64;
                     merged.clear();
                     for q in live.iter_mut() {
-                        // Admission precomputes every query in this mode.
+                        // Admission gives every query a window in this mode.
                         let Some(b) = &q.batched else { continue };
                         let off = e - b.base;
                         let pre = &b.motes[mi];
@@ -1602,44 +1683,6 @@ fn account_slot(
     }
 }
 
-/// Vectorized-mode admission work: runs the batch executor over each
-/// mote's trace window over epochs `from..end` and stores per-epoch
-/// verdicts and chain spans for the epoch loop to merge.
-#[allow(clippy::too_many_arguments)]
-fn precompute_batches(
-    exec: &mut BatchExecutor,
-    out: &mut BatchOutcome,
-    planned: &PlannedQuery,
-    query: &Query,
-    schema: &Schema,
-    motes: &[Mote],
-    from: usize,
-    end: usize,
-) -> Batched {
-    let prepared = PreparedPlan::new(&planned.plan, query, schema, &CostModel::PerAttribute);
-    let motes = motes
-        .iter()
-        .map(|mote| {
-            let stop = end.min(mote.epochs());
-            let mut verdicts = Vec::with_capacity(stop.saturating_sub(from));
-            let mut chains = Vec::with_capacity(stop.saturating_sub(from));
-            let mut start = from;
-            while start < stop {
-                let len = BATCH_ROWS.min(stop - start);
-                let batch = ColumnBatch::slice(mote.trace(), start, len);
-                exec.execute_batch(&prepared, &batch, None, out);
-                for slot in 0..len {
-                    verdicts.push(out.verdict(slot));
-                    chains.push(out.chain_span(slot));
-                }
-                start += len;
-            }
-            MotePre { verdicts, chains }
-        })
-        .collect();
-    Batched { prepared, base: from, motes }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1670,6 +1713,24 @@ mod tests {
         }
     }
 
+    /// A [`PlainPlanner`] on which every completion invalidates one
+    /// cached plan, so `readmit_on_drift` re-plans the survivors.
+    struct DriftingPlanner<'h>(PlainPlanner<'h>);
+
+    impl ServePlanner for DriftingPlanner<'_> {
+        fn plan_admitted(&mut self, query: &Query, epoch: usize) -> Result<AdmittedPlan> {
+            self.0.plan_admitted(query, epoch)
+        }
+
+        fn query_completed(&mut self, _: &Query, _: usize, _: &[(u64, u64)]) -> u64 {
+            1
+        }
+
+        fn stats_epoch(&self) -> u64 {
+            0
+        }
+    }
+
     fn setup() -> (Schema, Dataset, Query) {
         let schema = Schema::new(vec![
             Attribute::new("a", 2, 100.0),
@@ -1677,16 +1738,20 @@ mod tests {
             Attribute::new("t", 2, 1.0),
         ])
         .unwrap();
-        let mut rows = Vec::new();
-        for i in 0..240u16 {
-            let t = i % 2;
-            let a = if i % 10 == 0 { 1 - t } else { t };
-            let b = if i % 12 == 0 { t } else { 1 - t };
-            rows.push(vec![a, b, t]);
-        }
-        let data = Dataset::from_rows(&schema, rows).unwrap();
+        let data = Dataset::from_rows(&schema, rows(240)).unwrap();
         let query = Query::new(vec![Pred::in_range(0, 1, 1), Pred::in_range(1, 1, 1)]).unwrap();
         (schema, data, query)
+    }
+
+    fn rows(n: usize) -> Vec<Vec<u16>> {
+        (0..n)
+            .map(|i| {
+                let t = (i % 2) as u16;
+                let a = if i % 10 == 0 { 1 - t } else { t };
+                let b = if i % 12 == 0 { t } else { 1 - t };
+                vec![a, b, t]
+            })
+            .collect()
     }
 
     /// Serves `schedule` for `epochs` epochs on a fresh `motes`-mote
@@ -1815,24 +1880,128 @@ mod tests {
     fn scalar_and_vectorized_service_agree_bitwise() {
         let (schema, data, query) = setup();
         let q2 = Query::new(vec![Pred::in_range(1, 1, 1), Pred::in_range(2, 1, 1)]).unwrap();
-        let schedule = [ScheduleEntry::new(query, 0, 30), ScheduleEntry::new(q2, 8, 40)];
-        let opts = ServiceOptions::default();
-        let s = &serve(&schema, &data, &schedule, 2, 40, ExecMode::Scalar, &opts);
-        let v = &serve(&schema, &data, &schedule, 2, 40, ExecMode::Vectorized, &opts);
-        assert_eq!(s.performed_acquisitions, v.performed_acquisitions);
-        assert_eq!(s.demanded_acquisitions, v.demanded_acquisitions);
-        for (a, b) in s.per_mote.iter().zip(&v.per_mote) {
-            assert_eq!(a.sensing_uj.to_bits(), b.sensing_uj.to_bits());
-            assert_eq!(a.board_uj.to_bits(), b.board_uj.to_bits());
-            assert_eq!(a.radio_tx_uj.to_bits(), b.radio_tx_uj.to_bits());
-            assert_eq!(a.radio_rx_uj.to_bits(), b.radio_rx_uj.to_bits());
+        let q3 = Query::new(vec![Pred::in_range(0, 0, 0), Pred::in_range(2, 1, 1)]).unwrap();
+        // Input 1: two queries inside one short window. Input 2: more
+        // than two full batch windows, admissions at unaligned epochs,
+        // mote 2's trace ending inside the query's second window, and
+        // q2's completion at 1377 re-admitting the other two queries
+        // mid-window (every completion invalidates), so windows are
+        // refilled both before and after a readmission.
+        let long = Dataset::from_rows(&schema, rows(2 * BATCH_ROWS + 400)).unwrap();
+        let short = Dataset::from_rows(&schema, rows(BATCH_ROWS + 100)).unwrap();
+        let inputs = [
+            (
+                vec![&data; 2],
+                40,
+                vec![
+                    ScheduleEntry::new(query.clone(), 0, 30),
+                    ScheduleEntry::new(q2.clone(), 8, 40),
+                ],
+                false,
+            ),
+            (
+                vec![&long, &long, &short],
+                long.len(),
+                vec![
+                    ScheduleEntry::new(query, 5, long.len()),
+                    ScheduleEntry::new(q2, 777, 600),
+                    ScheduleEntry::new(q3, 1100, long.len()),
+                ],
+                true,
+            ),
+        ];
+        for (traces, epochs, schedule, readmit_on_drift) in inputs {
+            let run = |mode: ExecMode| {
+                let mut planner = DriftingPlanner(PlainPlanner {
+                    bs: Basestation::new(schema.clone(), &data),
+                    alpha: 0.01,
+                });
+                let mut fleet: Vec<Mote> = traces
+                    .iter()
+                    .enumerate()
+                    .map(|(i, t)| Mote::new(i as u16, (*t).clone()))
+                    .collect();
+                let rec = Recorder::new(std::sync::Arc::new(acqp_obs::NoopSink));
+                let opts = ServiceOptions {
+                    policy: ServicePolicy { readmit_on_drift, ..ServicePolicy::default() },
+                    ..ServiceOptions::default()
+                };
+                let rep = run_service_with(
+                    &schema,
+                    &schedule,
+                    &mut planner,
+                    &mut fleet,
+                    &EnergyModel::mica_like(),
+                    epochs,
+                    mode,
+                    &rec,
+                    &opts,
+                )
+                .unwrap();
+                (rep, rec.drain().counters)
+            };
+            let (s, s_counters) = &run(ExecMode::Scalar);
+            let (v, v_counters) = &run(ExecMode::Vectorized);
+            assert!(s.all_correct() && s.results() > 0);
+            let readmissions = s.robustness.as_ref().map(|r| r.readmissions);
+            assert_eq!(readmissions, Some(if readmit_on_drift { 2 } else { 0 }));
+            assert_eq!(s.performed_acquisitions, v.performed_acquisitions);
+            assert_eq!(s.demanded_acquisitions, v.demanded_acquisitions);
+            assert_eq!(s.bs_tx_uj.to_bits(), v.bs_tx_uj.to_bits());
+            for (a, b) in s.per_mote.iter().zip(&v.per_mote) {
+                assert_eq!(a.sensing_uj.to_bits(), b.sensing_uj.to_bits());
+                assert_eq!(a.board_uj.to_bits(), b.board_uj.to_bits());
+                assert_eq!(a.radio_tx_uj.to_bits(), b.radio_tx_uj.to_bits());
+                assert_eq!(a.radio_rx_uj.to_bits(), b.radio_rx_uj.to_bits());
+            }
+            assert_eq!(format!("{:?}", s.queries), format!("{:?}", v.queries));
+            assert_eq!(s_counters, v_counters);
         }
-        for (a, b) in s.queries.iter().zip(&v.queries) {
-            assert_eq!(a.tuples, b.tuples);
-            assert_eq!(a.results, b.results);
-            assert_eq!(a.latency_epochs, b.latency_epochs);
-            assert!(a.all_correct && b.all_correct);
+    }
+
+    /// A vectorized window never holds more than [`BATCH_ROWS`] epochs
+    /// per mote, and stepping it the way the epoch loop does (refill
+    /// once the epoch reaches `base + BATCH_ROWS`) yields exactly the
+    /// scalar interpreter's verdict and chain on every live mote-epoch.
+    #[test]
+    fn batch_windows_stay_bounded_and_match_the_interpreter() {
+        let (schema, data, query) = setup();
+        let planned = Basestation::new(schema.clone(), &data)
+            .plan_query_sized(&query, 0.01, &[0, 1, 2, 4])
+            .unwrap()
+            .1;
+        let long = Dataset::from_rows(&schema, rows(3 * BATCH_ROWS)).unwrap();
+        let short = Dataset::from_rows(&schema, rows(BATCH_ROWS + 100)).unwrap();
+        let motes = [Mote::new(0, long.clone()), Mote::new(1, short)];
+        let (from, end) = (37, 3 * BATCH_ROWS - 5);
+        let (mut exec, mut out) = (BatchExecutor::new(), BatchOutcome::default());
+        let mut b = Batched::new(&mut exec, &mut out, &planned, &query, &schema, &motes, from, end);
+        let mut st = TupleState::new(schema.len());
+        let mut refills = 0;
+        for e in from..end {
+            if e >= b.base + BATCH_ROWS {
+                b.refill(&mut exec, &mut out, &motes, e, end);
+                refills += 1;
+            }
+            for (pre, mote) in b.motes.iter().zip(&motes) {
+                assert!(pre.verdicts.len() <= BATCH_ROWS && pre.chains.len() == pre.verdicts.len());
+                if e >= mote.epochs() {
+                    continue;
+                }
+                let (start, len) = pre.chains[e - b.base];
+                let mut src = acqp_core::RowSource::new(mote.trace(), e);
+                let verdict =
+                    execute_wire_verified(&planned.wire, &query, &schema, &mut st, &mut src);
+                assert_eq!(pre.verdicts[e - b.base], verdict, "mote {} epoch {e}", mote.id());
+                assert_eq!(
+                    b.prepared.chain(start, len),
+                    st.acquired(),
+                    "mote {} epoch {e}",
+                    mote.id()
+                );
+            }
         }
+        assert_eq!(refills, 2);
     }
 
     #[test]

@@ -37,7 +37,7 @@ use acqp_core::drift::DriftMonitor;
 use acqp_core::prelude::{estimated_selectivities, CountingEstimator, Ranges};
 use acqp_core::{
     truth_columnar, BatchExecutor, BatchOutcome, ColumnBatch, CostModel, Dataset, DriftConfig,
-    Error, ExecMode, PreparedPlan, Query, Result, Schema, TupleSource, BATCH_ROWS,
+    Error, ExecMode, PreparedPlan, Query, Result, Schema, TupleSource, TupleState, BATCH_ROWS,
 };
 use acqp_obs::{Counter, FlightRecorder, Hist, Recorder, TraceValue};
 use acqp_persist::{BasestationCheckpoint, PlanRecord, WalRecord};
@@ -307,6 +307,7 @@ pub fn run_simulation(
             truth: Vec::new(),
             slots: Vec::new(),
         }),
+        tuple: TupleState::new(schema.len()),
         relay,
         tuples_c: rec.counter("sensornet.tuples"),
         results_c: rec.counter("sensornet.results"),
@@ -508,6 +509,8 @@ struct Engine<'a> {
     crash: CrashRuntime<'a>,
     /// Vectorized runs only.
     windows: Option<Windows>,
+    /// The scalar interpreter's tuple state, reused across tuples.
+    tuple: TupleState,
     /// The collection tree (multihop runs only).
     relay: Option<Relay<'a>>,
 
@@ -672,7 +675,6 @@ impl Engine<'_> {
             };
             self.rep.sim.tuples += 1;
             self.ep_tuples += 1;
-            let scalar;
             let (verdict, acquired, aborted, truth) = match window {
                 Some((prepared, slots)) => {
                     let s = slots[i];
@@ -683,11 +685,12 @@ impl Engine<'_> {
                 None => {
                     let src = m.epoch_source(e, self.schema, self.model);
                     let mut fsrc = FaultySource::new(src, self.faults, &self.stats, id, e);
-                    scalar =
-                        execute_wire(&self.plans[ver].wire, self.query, self.schema, &mut fsrc)?;
+                    let wire = &self.plans[ver].wire;
+                    let verdict =
+                        execute_wire(wire, self.query, self.schema, &mut self.tuple, &mut fsrc)?;
                     let aborted = fsrc.aborted();
                     let truth = !aborted && self.query.eval_with(|a| m.peek(e, a));
-                    (scalar.verdict, scalar.acquired.as_slice(), aborted, truth)
+                    (verdict, self.tuple.acquired(), aborted, truth)
                 }
             };
             self.acq_hist.observe(acquired.len() as u64);

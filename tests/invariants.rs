@@ -63,8 +63,10 @@ proptest! {
         prop_assert_eq!(&Plan::decode(&wire).unwrap(), &plan);
         for row in 0..data.len() {
             let a = execute(&plan, &query, &schema, &mut RowSource::new(&data, row));
-            let b = acqp::sensornet::execute_wire(
-                &wire, &query, &schema, &mut RowSource::new(&data, row)).unwrap();
+            let mut st = TupleState::new(schema.len());
+            let verdict = acqp::sensornet::execute_wire(
+                &wire, &query, &schema, &mut st, &mut RowSource::new(&data, row)).unwrap();
+            let b = st.into_outcome(verdict);
             prop_assert_eq!(a.verdict, b.verdict);
             prop_assert!((a.cost - b.cost).abs() < 1e-12);
             prop_assert_eq!(a.acquired, b.acquired);

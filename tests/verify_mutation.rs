@@ -33,6 +33,23 @@ struct Entry {
     wire: Vec<u8>,
 }
 
+/// Row `r` of `data` through the checked wire interpreter and the
+/// total certificate-gated one, each on a fresh tuple state.
+fn interpret(
+    wire: &[u8],
+    e: &Entry,
+    data: &Dataset,
+    r: usize,
+) -> (acqp::core::Result<ExecOutcome>, ExecOutcome) {
+    let mut st = TupleState::new(e.schema.len());
+    let checked = execute_wire(wire, &e.query, &e.schema, &mut st, &mut RowSource::new(data, r))
+        .map(|verdict| st.into_outcome(verdict));
+    let mut st = TupleState::new(e.schema.len());
+    let verdict =
+        execute_wire_verified(wire, &e.query, &e.schema, &mut st, &mut RowSource::new(data, r));
+    (checked, st.into_outcome(verdict))
+}
+
 /// Planner-produced and handcrafted wires, all certified valid.
 fn corpus() -> Vec<Entry> {
     let mut out = Vec::new();
@@ -162,14 +179,7 @@ fn every_mutant_is_rejected_or_interpreter_identical() {
                     // checked interpreter may error, the total one must
                     // return a reject-on-garbage outcome.
                     for r in 0..data.len() {
-                        let _ =
-                            execute_wire(&m, &e.query, &e.schema, &mut RowSource::new(&data, r));
-                        let _ = execute_wire_verified(
-                            &m,
-                            &e.query,
-                            &e.schema,
-                            &mut RowSource::new(&data, r),
-                        );
+                        let _ = interpret(&m, e, &data, r);
                     }
                 }
                 Ok(cert) => {
@@ -179,17 +189,10 @@ fn every_mutant_is_rejected_or_interpreter_identical() {
                     accepted += 1;
                     let slack = 1e-9 * cert.bound.worst_case.abs().max(1.0);
                     for r in 0..data.len() {
-                        let checked =
-                            execute_wire(&m, &e.query, &e.schema, &mut RowSource::new(&data, r))
-                                .unwrap_or_else(|err| {
-                                    panic!("{}: accepted mutant {m:?} errored: {err}", e.label)
-                                });
-                        let fast = execute_wire_verified(
-                            &m,
-                            &e.query,
-                            &e.schema,
-                            &mut RowSource::new(&data, r),
-                        );
+                        let (checked, fast) = interpret(&m, e, &data, r);
+                        let checked = checked.unwrap_or_else(|err| {
+                            panic!("{}: accepted mutant {m:?} errored: {err}", e.label)
+                        });
                         assert_eq!(checked.verdict, fast.verdict, "{}: {m:?} row {r}", e.label);
                         assert_eq!(
                             checked.cost.to_bits(),

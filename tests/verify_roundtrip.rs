@@ -14,6 +14,9 @@
 //!    verdict and bitwise-identical cost for every row, so the
 //!    certified fast path (`execute_wire_verified`) is not buying its
 //!    speed with different arithmetic.
+//! 4. **State reuse is invisible** — both wire interpreters run every
+//!    row through one reused `TupleState`, as the engines do, and match
+//!    a fresh state per row on verdict, acquisition order and cost bits.
 
 // Bitwise f64 comparison is the point of the differential assertions.
 #![allow(clippy::float_cmp)]
@@ -38,6 +41,19 @@ fn eps(cert: &Certificate) -> f64 {
     1e-9 * cert.bound.worst_case.abs().max(1.0)
 }
 
+/// Row `r` of `inst` through the checked wire interpreter and the
+/// certificate-gated one, each on a fresh tuple state.
+fn interpret(wire: &[u8], inst: &Instance, r: usize) -> (Result<ExecOutcome>, ExecOutcome) {
+    let (schema, query) = (&inst.schema, &inst.query);
+    let mut st = TupleState::new(schema.len());
+    let checked = execute_wire(wire, query, schema, &mut st, &mut RowSource::new(&inst.data, r))
+        .map(|verdict| st.into_outcome(verdict));
+    let mut st = TupleState::new(schema.len());
+    let verdict =
+        execute_wire_verified(wire, query, schema, &mut st, &mut RowSource::new(&inst.data, r));
+    (checked, st.into_outcome(verdict))
+}
+
 /// One planner's report, verified and executed row-by-row against the
 /// certificate. Returns the certificate so callers can cross-check
 /// planner-independent facts.
@@ -54,18 +70,45 @@ fn verify_and_execute(inst: &Instance, report: &PlanReport, label: &str) -> Cert
         panic!("{label}: claimed {} outside {:?}: {e}", report.expected_cost, cert.bound)
     });
     let slack = eps(&cert);
+    let (mut reused_checked, mut reused_fast) =
+        (TupleState::new(inst.schema.len()), TupleState::new(inst.schema.len()));
     for r in 0..inst.data.len() {
         let tree =
             execute(&report.plan, &inst.query, &inst.schema, &mut RowSource::new(&inst.data, r));
+        let (checked, fast) = interpret(&wire, inst, r);
         let checked =
-            execute_wire(&wire, &inst.query, &inst.schema, &mut RowSource::new(&inst.data, r))
-                .unwrap_or_else(|e| panic!("{label}: row {r}: honest wire errored: {e}"));
-        let fast = execute_wire_verified(
+            checked.unwrap_or_else(|e| panic!("{label}: row {r}: honest wire errored: {e}"));
+        let reused_checked_verdict = execute_wire(
             &wire,
             &inst.query,
             &inst.schema,
+            &mut reused_checked,
+            &mut RowSource::new(&inst.data, r),
+        )
+        .unwrap_or_else(|e| panic!("{label}: row {r}: honest wire errored: {e}"));
+        let reused_fast_verdict = execute_wire_verified(
+            &wire,
+            &inst.query,
+            &inst.schema,
+            &mut reused_fast,
             &mut RowSource::new(&inst.data, r),
         );
+        for (verdict, st, fresh, path) in [
+            (reused_checked_verdict, &reused_checked, &checked, "wire"),
+            (reused_fast_verdict, &reused_fast, &fast, "fast-path"),
+        ] {
+            assert_eq!(verdict, fresh.verdict, "{label}: row {r}: reused vs fresh {path} verdict");
+            assert_eq!(
+                st.acquired(),
+                fresh.acquired.as_slice(),
+                "{label}: row {r}: reused vs fresh {path} acquisition order"
+            );
+            assert_eq!(
+                st.cost().to_bits(),
+                fresh.cost.to_bits(),
+                "{label}: row {r}: reused vs fresh {path} cost"
+            );
+        }
         assert_eq!(tree.verdict, checked.verdict, "{label}: row {r}: tree vs wire verdict");
         assert_eq!(tree.verdict, fast.verdict, "{label}: row {r}: tree vs fast-path verdict");
         assert_eq!(
