@@ -36,7 +36,7 @@ fn main() {
         Algo::Heuristic { splits: 0, grid_r: 2, base: SeqAlgorithm::Optimal },
         Algo::Heuristic { splits: 5, grid_r: 2, base: SeqAlgorithm::Optimal },
         Algo::Heuristic { splits: 10, grid_r: 2, base: SeqAlgorithm::Optimal },
-        Algo::Exhaustive { grid_r: 2, budget: 1_500_000, threads: 1 },
+        Algo::Exhaustive { grid_r: 2, budget: 1_500_000 },
         Algo::Heuristic { splits: 10, grid_r: 12, base: SeqAlgorithm::Optimal },
     ];
 

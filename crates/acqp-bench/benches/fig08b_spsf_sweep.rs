@@ -21,14 +21,12 @@ fn main() {
     let train = train_full.thin(4);
     let n_queries: usize =
         std::env::var("ACQP_QUERIES").ok().and_then(|s| s.parse().ok()).unwrap_or(20);
-    let threads: usize =
-        std::env::var("ACQP_THREADS").ok().and_then(|s| s.parse().ok()).unwrap_or(1);
     let queries = lab_queries(&g.schema, &train, n_queries, 3, 0x8b).expect("lab workload");
 
     let heuristic = Algo::Heuristic { splits: 5, grid_r: 12, base: SeqAlgorithm::Optimal };
     let mut algos = vec![heuristic.clone()];
     for r in [1usize, 2, 3] {
-        algos.push(Algo::Exhaustive { grid_r: r, budget: 700_000, threads });
+        algos.push(Algo::Exhaustive { grid_r: r, budget: 700_000 });
     }
 
     println!("=== Figure 8(b): Exhaustive under shrinking SPSF vs Heuristic-5 ===");

@@ -46,8 +46,6 @@ pub enum Algo {
         grid_r: usize,
         /// Subproblem budget before greedy-leaf fallback.
         budget: usize,
-        /// Worker threads for memo warming (`1` = serial search).
-        threads: usize,
     },
 }
 
@@ -86,11 +84,10 @@ impl Algo {
                 }
                 Ok((p.plan(schema, query, &est)?, None))
             }
-            Algo::Exhaustive { grid_r, budget, threads } => {
+            Algo::Exhaustive { grid_r, budget } => {
                 let grid = SplitGrid::for_query(schema, query, *grid_r);
                 let report = ExhaustivePlanner::with_grid(grid)
                     .max_subproblems(*budget)
-                    .threads(*threads)
                     .plan_with_report(schema, query, &est)?;
                 Ok((report.plan, Some(!report.truncated)))
             }
@@ -132,9 +129,9 @@ pub fn run_batch(
     let threads = std::thread::available_parallelism().map_or(4, |n| n.get()).min(16);
     let next = std::sync::atomic::AtomicUsize::new(0);
     let cells = NoPoisonMutex::new(Vec::<Cell>::new());
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..threads {
-            s.spawn(|_| loop {
+            s.spawn(|| loop {
                 let qi = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 if qi >= queries.len() {
                     break;
@@ -161,8 +158,7 @@ pub fn run_batch(
                 cells.lock().extend(local);
             });
         }
-    })
-    .expect("worker panicked");
+    });
     let mut out = cells.into_inner();
     out.sort_by(|a, b| (a.query_idx, &a.algo).cmp(&(b.query_idx, &b.algo)));
     out
@@ -233,26 +229,6 @@ pub fn assert_all_correct(cells: &[Cell]) {
     }
 }
 
-/// Headline planner-health rates derived from a drained observability
-/// snapshot, for embedding in bench JSON artifacts:
-///
-/// * `planner.memo.hit_rate` — memo lookups served from the table;
-/// * `planner.prune_rate` — candidate cuts abandoned by an admissible
-///   lower bound, as a fraction of all split evaluations.
-pub fn planner_rates(snap: &acqp_obs::Snapshot) -> Vec<(String, f64)> {
-    let hit = snap.counter("planner.memo.hit") as f64;
-    let miss = snap.counter("planner.memo.miss") as f64;
-    let evaluated = snap.counter("planner.split.evaluated") as f64;
-    let pruned = snap.counter("planner.prune.lower_bound") as f64;
-    vec![
-        ("planner.subproblems.opened".into(), snap.counter("planner.subproblems.opened") as f64),
-        ("planner.memo.hit_rate".into(), hit / (hit + miss).max(1.0)),
-        ("planner.split.evaluated".into(), evaluated),
-        ("planner.prune_rate".into(), pruned / evaluated.max(1.0)),
-        ("planner.budget.truncated".into(), snap.counter("planner.budget.truncated") as f64),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,7 +264,7 @@ mod tests {
     }
 
     #[test]
-    fn bench_json_and_planner_rates() {
+    fn bench_json_from_planner_counters() {
         use acqp_obs::{NoopSink, Recorder};
         use std::sync::Arc;
 
@@ -303,11 +279,11 @@ mod tests {
                 .plan(&g.schema, q, &est)
                 .unwrap();
         }
-        let rates = planner_rates(&rec.drain());
-        let get = |k: &str| rates.iter().find(|(n, _)| n == k).unwrap().1;
-        assert!(get("planner.subproblems.opened") > 0.0);
-        assert!(get("planner.memo.hit_rate") >= 0.0 && get("planner.memo.hit_rate") <= 1.0);
-        assert!(get("planner.split.evaluated") > 0.0);
+        let snap = rec.drain();
+        let (hit, miss) = (snap.counter("planner.memo.hit"), snap.counter("planner.memo.miss"));
+        assert!(snap.counter("planner.subproblems.opened") > 0);
+        assert!(snap.counter("planner.split.evaluated") > 0);
+        let rates = vec![("planner.memo.hit_rate".to_string(), hit as f64 / (hit + miss) as f64)];
 
         let dir = std::env::temp_dir().join(format!("acqp_bench_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();

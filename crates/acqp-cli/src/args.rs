@@ -1,14 +1,14 @@
 //! Minimal flag parsing (no external dependencies): positionals plus
 //! `--key value` pairs.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Parsed command line: positional arguments and `--key value` flags.
 #[derive(Debug, Default, Clone)]
 pub struct Args {
     /// Positional arguments in order.
     pub positional: Vec<String>,
-    flags: HashMap<String, String>,
+    flags: BTreeMap<String, String>,
 }
 
 impl Args {
@@ -50,10 +50,14 @@ impl Args {
         self.get(key).ok_or_else(|| format!("missing required flag --{key}"))
     }
 
-    /// Names of flags present (for unknown-flag checks).
-    #[allow(dead_code)]
-    pub fn flag_names(&self) -> impl Iterator<Item = &str> {
-        self.flags.keys().map(String::as_str)
+    /// Rejects the first flag (in name order) that appears in none of
+    /// the `known` lists, so a typo or a flag `cmd` never reads fails
+    /// instead of being silently ignored.
+    pub fn reject_unknown(&self, cmd: &str, known: &[&[&str]]) -> Result<(), String> {
+        match self.flags.keys().find(|k| !known.iter().any(|list| list.contains(&k.as_str()))) {
+            Some(k) => Err(format!("unknown flag --{k} for {cmd}")),
+            None => Ok(()),
+        }
     }
 }
 
@@ -80,6 +84,12 @@ mod tests {
         assert!(parse(&["--a", "1", "--a", "2"]).is_err());
         assert!(parse(&["--n", "x"]).unwrap().get_or("n", 1usize).is_err());
         assert!(parse(&[]).unwrap().require("out").is_err());
+        let a = parse(&["--query", "x", "--threads", "2"]).unwrap();
+        assert_eq!(
+            a.reject_unknown("plan", &[&["query"]]),
+            Err("unknown flag --threads for plan".into())
+        );
+        assert_eq!(a.reject_unknown("plan", &[&["query"], &["threads"]]), Ok(()));
     }
 
     #[test]

@@ -78,7 +78,7 @@ USAGE:
   acqp plan     --dataset <kind> --query \"<expr>\"
                 [--algo naive|corrseq|heuristic|exhaustive]
                 [--splits K] [--grid R] [--train-frac F] [--explain yes]
-                [--threads N] [--plan-budget-ms MS] [--fallback yes]
+                [--plan-budget-ms MS] [--budget N] [--fallback yes]
                 [--exec scalar|vectorized] [--explain-analyze yes]
                 [--trace-json <file>] [--metrics yes]
                 [--flight-recorder <file>] [--flight-jsonl <file>]
@@ -188,7 +188,83 @@ fn run(raw: Vec<String>) -> CliResult<ExitCode> {
     }
 }
 
+/// Where a command's dataset comes from (`datasets::resolve`).
+const SOURCE_FLAGS: &[&str] = &["dataset", "schema", "data"];
+/// Generator overrides read by `datasets::build`.
+const GENERATOR_FLAGS: &[&str] = &["seed", "epochs", "motes", "n", "gamma", "sel", "rows"];
+/// Observability outputs (`recorder_from`, `finish_flight`, `finish_metrics`).
+const OBS_FLAGS: &[&str] =
+    &["trace-json", "metrics", "flight-recorder", "flight-jsonl", "flight-timeline", "flight-cap"];
+/// Fault and crash injection, parsed alike by `simulate` and `serve`.
+const FAULT_FLAGS: &[&str] = &[
+    "fault-seed",
+    "loss-rate",
+    "sensing-fail",
+    "max-attempts",
+    "dropout",
+    "checkpoint-dir",
+    "checkpoint-every",
+    "crash-rate",
+    "crash-epochs",
+];
+
+/// Every flag some code path of `cmd` reads; anything else is rejected
+/// up front by [`check_flags`].
+fn known_flags(cmd: &str) -> &'static [&'static [&'static str]] {
+    match cmd {
+        "info" => &[SOURCE_FLAGS, GENERATOR_FLAGS],
+        "gen" => &[GENERATOR_FLAGS, &["out"]],
+        "plan" => &[
+            SOURCE_FLAGS,
+            GENERATOR_FLAGS,
+            OBS_FLAGS,
+            &[
+                "query",
+                "train-frac",
+                "algo",
+                "splits",
+                "grid",
+                "budget",
+                "plan-budget-ms",
+                "fallback",
+                "explain",
+                "explain-analyze",
+                "exec",
+            ],
+        ],
+        "verify" => &[
+            SOURCE_FLAGS,
+            GENERATOR_FLAGS,
+            &["query", "schedule", "wire", "algo", "splits", "grid", "budget", "json"],
+        ],
+        "simulate" => &[
+            SOURCE_FLAGS,
+            GENERATOR_FLAGS,
+            OBS_FLAGS,
+            FAULT_FLAGS,
+            &["query", "splits", "exec", "replan-threshold", "replan-budget", "sample-every"],
+        ],
+        "serve" => &[
+            SOURCE_FLAGS,
+            GENERATOR_FLAGS,
+            OBS_FLAGS,
+            FAULT_FLAGS,
+            SERVE_INCOMPATIBLE,
+            &["schedule", "splits", "exec", "deadline", "epoch-budget", "baseline"],
+        ],
+        _ => &[],
+    }
+}
+
+/// Fails on any flag the subcommand never reads (`unknown flag --X for
+/// <cmd>`), so a typo cannot silently run with the default.
+fn check_flags(args: &Args) -> CliResult<()> {
+    let cmd = args.positional.first().map_or("", String::as_str);
+    Ok(args.reject_unknown(cmd, known_flags(cmd))?)
+}
+
 fn cmd_info(args: &Args) -> CliResult<()> {
+    check_flags(args)?;
     let g = datasets::resolve(args)?;
     println!("dataset: {} tuples, {} attributes\n", g.data.len(), g.schema.len());
     println!("{:<4} {:<12} {:>7} {:>9}  natural range", "id", "name", "domain", "cost");
@@ -203,6 +279,7 @@ fn cmd_info(args: &Args) -> CliResult<()> {
 }
 
 fn cmd_gen(args: &Args) -> CliResult<()> {
+    check_flags(args)?;
     let kind = args
         .positional
         .get(1)
@@ -372,6 +449,7 @@ fn planner_label(algo: &str, splits: usize) -> String {
 }
 
 fn cmd_plan(args: &Args) -> CliResult<()> {
+    check_flags(args)?;
     let g = datasets::resolve(args)?;
     let query_text = args.require("query")?;
     let query = query_parse::parse_query(query_text, &g.schema, &g.discretizers)
@@ -385,7 +463,6 @@ fn cmd_plan(args: &Args) -> CliResult<()> {
     let algo = args.get("algo").unwrap_or("heuristic");
     let splits: usize = args.get_or("splits", 10)?;
     let grid: usize = args.get_or("grid", 12)?;
-    let threads: usize = args.get_or("threads", 1)?;
     let plan_budget = match args.get("plan-budget-ms") {
         Some(v) => Some(std::time::Duration::from_millis(
             v.parse().map_err(|_| format!("bad value for --plan-budget-ms: {v}"))?,
@@ -403,7 +480,6 @@ fn cmd_plan(args: &Args) -> CliResult<()> {
             .with_grid(SplitGrid::for_query(&g.schema, &query, grid))
             .max_splits(splits)
             .max_subproblems(args.get_or("budget", 1_000_000usize)?)
-            .threads(threads)
             .with_recorder(rec.clone());
         if let Some(d) = plan_budget {
             p = p.stage_budget(d);
@@ -419,7 +495,6 @@ fn cmd_plan(args: &Args) -> CliResult<()> {
             "heuristic" => {
                 let mut p = GreedyPlanner::new(splits)
                     .with_grid(SplitGrid::for_query(&g.schema, &query, grid))
-                    .threads(threads)
                     .with_recorder(rec.clone());
                 if let Some(d) = plan_budget {
                     p = p.time_budget(d);
@@ -436,7 +511,6 @@ fn cmd_plan(args: &Args) -> CliResult<()> {
                     grid.min(3),
                 ))
                 .max_subproblems(args.get_or("budget", 1_000_000usize)?)
-                .threads(threads)
                 .with_recorder(rec.clone());
                 if let Some(d) = plan_budget {
                     p = p.time_budget(d);
@@ -590,6 +664,7 @@ type VerifyUnit = (String, Query, Vec<u8>, Option<f64>);
 /// Builds the corpus from the flags, runs the verifier over it, prints
 /// findings (human or `--json`), and returns how many there were.
 fn verify_corpus(args: &Args) -> CliResult<usize> {
+    check_flags(args)?;
     let g = datasets::resolve(args)?;
     let splits: usize = args.get_or("splits", 8)?;
     let grid: usize = args.get_or("grid", 12)?;
@@ -707,6 +782,7 @@ fn verify_json_str(s: &str) -> String {
 }
 
 fn cmd_simulate(args: &Args) -> CliResult<()> {
+    check_flags(args)?;
     let g = datasets::resolve(args)?;
     let query_text = args.require("query")?;
     let query = query_parse::parse_query(query_text, &g.schema, &g.discretizers)
@@ -905,6 +981,7 @@ fn schedule_from(
 }
 
 fn cmd_serve(args: &Args) -> CliResult<()> {
+    check_flags(args)?;
     for flag in SERVE_INCOMPATIBLE {
         if let Some(v) = args.get(flag) {
             return Err(invalid(
@@ -1243,7 +1320,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_with_threads_and_budget() {
+    fn plan_with_budget() {
         assert_eq!(
             run_vec(&[
                 "plan",
@@ -1256,8 +1333,6 @@ mod tests {
                 "--query",
                 "light >= 350 AND temp <= 21",
                 "--splits",
-                "4",
-                "--threads",
                 "4",
                 "--plan-budget-ms",
                 "5000",
@@ -1278,8 +1353,6 @@ mod tests {
                 "--algo",
                 "exhaustive",
                 "--grid",
-                "2",
-                "--threads",
                 "2",
             ]),
             Ok(())

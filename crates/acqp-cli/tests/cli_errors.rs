@@ -278,3 +278,29 @@ fn serve_runs_both_exec_modes_bitwise_identically() {
     let text = String::from_utf8_lossy(&scalar.stdout);
     assert!(text.contains("serve : 2 of 2 queries admitted"), "{text}");
 }
+
+/// A flag the subcommand never reads fails with exit 1 and names the
+/// flag instead of silently running with defaults: a removed option
+/// (`plan --threads`) and a misspelt one (`--loss-rte`) alike.
+#[test]
+fn flags_a_subcommand_never_reads_are_rejected() {
+    let out = acqp(&[
+        "plan",
+        "--dataset",
+        "lab",
+        "--epochs",
+        "300",
+        "--query",
+        "light >= 350 AND temp <= 21",
+        "--threads",
+        "2",
+    ]);
+    assert_eq!(out.status.code(), Some(1), "plan --threads must exit 1");
+    assert_rejected(&out, "unknown flag --threads for plan", "plan --threads");
+    assert!(out.stdout.is_empty(), "rejected before any planning output");
+
+    let out = sim_with(&["--loss-rte", "0.1"]);
+    assert_eq!(out.status.code(), Some(1), "misspelt simulate flag must exit 1");
+    assert_rejected(&out, "unknown flag --loss-rte for simulate", "simulate --loss-rte");
+    assert!(out.stdout.is_empty(), "rejected before any simulation output");
+}

@@ -3,16 +3,16 @@
 //! Plan search is worst-case exponential (#P-hard, Thm 3.1), so both
 //! conditional planners accept an effort budget: a cap on expanded
 //! subproblems and an optional wall-clock deadline. The budget is
-//! *cooperative* — every worker consults the same shared [`SearchLimits`]
-//! before expanding a subproblem, and once it is exhausted the search
+//! *cooperative* — the search consults its [`SearchLimits`] before
+//! expanding a subproblem, and once it is exhausted the search
 //! degrades gracefully: open subproblems are closed with the best
 //! sequential plan found so far, and the result is flagged as truncated.
 //!
 //! Truncation trades optimality for latency, never validity: a truncated
 //! plan still computes `φ` exactly on every tuple, and its expected cost
-//! is at least the optimum's (see `tests/parallel_equivalence.rs`).
+//! is at least the optimum's (see `tests/plan_search.rs`).
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::cell::Cell;
 use std::time::{Duration, Instant};
 
 use crate::plan::Plan;
@@ -69,10 +69,11 @@ pub struct PlanReport {
     /// remaining work with sequential fallbacks. Untruncated exhaustive
     /// results are provably optimal under their split grid.
     pub truncated: bool,
-    /// Worker panics caught and isolated during a parallel search. The
-    /// plan is still valid — panicked subproblems were re-solved or
-    /// closed by surviving workers — but a nonzero count flags that the
-    /// process survived something abnormal.
+    /// Panics the [`super::FallbackPlanner`] caught while descending
+    /// its ladder (each abandons one rung). The plan is still valid — a
+    /// lower rung produced it — but a nonzero count flags that the
+    /// process survived something abnormal. Planners invoked directly
+    /// always report 0.
     pub worker_panics: usize,
     /// Which rung of the fallback ladder produced this plan. Planners
     /// invoked directly always report [`DegradationLevel::None`]; the
@@ -80,13 +81,13 @@ pub struct PlanReport {
     pub degradation: DegradationLevel,
 }
 
-/// Shared, thread-safe effort accounting for one plan search.
+/// Effort accounting for one plan search.
 #[derive(Debug)]
 pub(crate) struct SearchLimits {
     max_subproblems: usize,
     deadline: Option<Instant>,
-    used: AtomicUsize,
-    truncated: AtomicBool,
+    used: Cell<usize>,
+    truncated: Cell<bool>,
 }
 
 /// How many subproblem expansions pass between deadline polls. Reading
@@ -102,8 +103,8 @@ impl SearchLimits {
         SearchLimits {
             max_subproblems,
             deadline: budget.map(|d| Instant::now() + d),
-            used: AtomicUsize::new(0),
-            truncated: AtomicBool::new(false),
+            used: Cell::new(0),
+            truncated: Cell::new(false),
         }
     }
 
@@ -111,14 +112,15 @@ impl SearchLimits {
     /// search truncated) when the cap or deadline has been reached; the
     /// caller must then close its subproblem with a fallback plan.
     pub(crate) fn try_expand(&self) -> bool {
-        let n = self.used.fetch_add(1, Ordering::Relaxed);
-        if self.truncated.load(Ordering::Relaxed) {
+        let n = self.used.get();
+        self.used.set(n + 1);
+        if self.truncated.get() {
             return false;
         }
         let deadline_hit = n.is_multiple_of(DEADLINE_CHECK_INTERVAL)
             && self.deadline.is_some_and(|d| Instant::now() >= d);
         if n >= self.max_subproblems || deadline_hit {
-            self.truncated.store(true, Ordering::Relaxed);
+            self.truncated.set(true);
             return false;
         }
         true
@@ -126,11 +128,11 @@ impl SearchLimits {
 
     /// Expansions attempted so far (successful or denied).
     pub(crate) fn used(&self) -> usize {
-        self.used.load(Ordering::Relaxed)
+        self.used.get()
     }
 
     pub(crate) fn truncated(&self) -> bool {
-        self.truncated.load(Ordering::Relaxed)
+        self.truncated.get()
     }
 }
 
@@ -211,18 +213,5 @@ mod tests {
         );
         assert!(l.truncated());
         assert!(!l.try_expand());
-    }
-
-    #[test]
-    fn limits_are_shared_across_threads() {
-        let l = SearchLimits::new(100, None);
-        let granted: usize = crossbeam::scope(|s| {
-            let handles: Vec<_> =
-                (0..4).map(|_| s.spawn(|_| (0..50).filter(|_| l.try_expand()).count())).collect();
-            handles.into_iter().map(|h| h.join().unwrap()).sum()
-        })
-        .unwrap();
-        assert_eq!(granted, 100);
-        assert!(l.truncated());
     }
 }

@@ -10,8 +10,8 @@
 //!   `T(X_i ≥ x)` allowed by the split grid, recursing into the two
 //!   induced subproblems, weighting by `P(X_i ∈ [a, x−1] | R_1…R_n)`
 //!   (Eq. 5).
-//! * **Memoization** — optimal results are cached by range vector in a
-//!   sharded concurrent table shared by every search thread.
+//! * **Memoization** — optimal results are cached by range vector in
+//!   one table owned by the search.
 //! * **Pruning** — all pruning is *local to a subproblem* and uses only
 //!   canonical quantities: the greedy sequential plan seeds an incumbent
 //!   upper bound, candidates whose admissible lower bound
@@ -19,23 +19,19 @@
 //!   skipped, and a candidate is abandoned as soon as its accumulated
 //!   cost plus the remaining branch's lower bound reaches the incumbent.
 //!
-//! ## Determinism under parallelism
+//! ## Determinism
 //!
 //! Unlike classic branch-and-bound, no caller-supplied cost bound flows
 //! into recursive calls. That makes [`Search::solve`] a *pure function
 //! of the subproblem*: every skip decision compares canonical values
 //! (child optima, admissible bounds, the local incumbent) that do not
 //! depend on what the rest of the tree is doing, so the `(cost, plan)`
-//! computed for a given range vector is identical in any execution
-//! order. Parallel search exploits this by running the same `solve` on
-//! many subproblems concurrently, purely to *warm the shared memo
-//! table*; the final combining pass runs the identical serial code and
-//! therefore returns a bit-for-bit identical expected cost regardless
-//! of thread count or scheduling. The only escape hatch is the
-//! cooperative budget: once it trips, subproblems close with sequential
-//! fallbacks whose placement depends on timing, so equivalence is only
-//! guaranteed for untruncated searches (truncated plans remain valid
-//! and can only cost more than the optimum).
+//! computed for a given range vector is identical whichever path first
+//! reaches it, and a memo hit returns exactly what recomputation would.
+//! The only escape hatch is the cooperative budget: once it trips,
+//! subproblems close with sequential fallbacks whose placement depends
+//! on when it tripped (truncated plans remain valid and can only cost
+//! more than the optimum).
 //!
 //! The worst-case complexity is exponential in the number of attributes
 //! (the problem is #P-hard, Thm 3.1), so a `max_subproblems` cap and an
@@ -44,17 +40,11 @@
 //! result degrades gracefully toward the heuristic planner instead of
 //! running forever).
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::BTreeSet;
-// acqp-lint: allow(nondeterministic-iteration): memo shards are probed by key only — see MemoShard
+// acqp-lint: allow(nondeterministic-iteration): the memo is probed by key only — see Memo
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
 use acqp_obs::{Counter, Recorder};
-use crossbeam::deque::{Injector, Steal};
 
 use crate::attr::Schema;
 use crate::error::Result;
@@ -62,7 +52,6 @@ use crate::plan::{Plan, SeqOrder};
 use crate::prob::Estimator;
 use crate::query::Query;
 use crate::range::{Range, Ranges};
-use crate::sync::NoPoisonMutex;
 
 use super::budget::{DegradationLevel, PlanReport, SearchLimits};
 use super::seq::SeqPlanner;
@@ -75,7 +64,6 @@ pub struct ExhaustivePlanner {
     grid: Option<SplitGrid>,
     max_subproblems: usize,
     time_budget: Option<Duration>,
-    threads: usize,
     cost_model: crate::costmodel::CostModel,
     recorder: Recorder,
 }
@@ -88,13 +76,12 @@ impl Default for ExhaustivePlanner {
 
 impl ExhaustivePlanner {
     /// Planner over the unrestricted split grid (every cut of every
-    /// attribute) with a default effort budget, single-threaded.
+    /// attribute) with a default effort budget.
     pub fn new() -> Self {
         ExhaustivePlanner {
             grid: None,
             max_subproblems: 2_000_000,
             time_budget: None,
-            threads: 1,
             cost_model: crate::costmodel::CostModel::PerAttribute,
             recorder: Recorder::disabled(),
         }
@@ -126,18 +113,9 @@ impl ExhaustivePlanner {
         self
     }
 
-    /// Number of search threads. With `n > 1` the planner fans the DP's
-    /// subproblems over a scoped work-stealing pool that warms a shared
-    /// memo table; the answer is bit-identical to `threads(1)` whenever
-    /// the search completes within budget.
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = n.max(1);
-        self
-    }
-
     /// Attaches an observability recorder. The search records memo
     /// hits/misses, prune and split-evaluation counts, budget events and
-    /// warm/combine phase timings through it; see `DESIGN.md` §8 for the
+    /// the search's wall time through it; see `DESIGN.md` §8 for the
     /// metric taxonomy. Metrics never feed back into search decisions,
     /// so recording cannot perturb the chosen plan.
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
@@ -182,17 +160,16 @@ impl ExhaustivePlanner {
             Some(g) => g.clone(),
             None => SplitGrid::all(schema),
         };
-        let search = Search {
+        let mut search = Search {
             schema,
             query,
             est,
             grid,
-            memo: ShardedMemo::new(),
+            memo: Memo::new(),
             seq: SeqPlanner::greedy().with_cost_model(self.cost_model.clone()),
             model: self.cost_model.clone(),
             limits: SearchLimits::new(self.max_subproblems, self.time_budget),
             metrics: SearchMetrics::new(&self.recorder),
-            panics: AtomicUsize::new(0),
         };
         let root = est.root();
         let flight = self.recorder.flight().clone();
@@ -200,22 +177,10 @@ impl ExhaustivePlanner {
             0,
             0,
             "plan.search.start",
-            &[
-                ("planner", "exhaustive".into()),
-                ("preds", query.len().into()),
-                ("threads", self.threads.into()),
-            ],
+            &[("planner", "exhaustive".into()), ("preds", query.len().into())],
         );
         let span = self.recorder.span("planner.exhaustive");
-        if self.threads > 1 {
-            let _warm = span.child("warm");
-            search.warm_parallel(&root, self.threads);
-        }
-        let (cost, plan) = {
-            let _combine = span.child("combine");
-            let (cost, plan, _) = search.solve(&root)?;
-            (cost, plan)
-        };
+        let (cost, plan, _) = search.solve(&root)?;
         drop(span);
         if search.limits.truncated() {
             search.metrics.budget_truncated.incr(1);
@@ -226,13 +191,8 @@ impl ExhaustivePlanner {
                 &[("subproblems", search.limits.used().into())],
             );
         }
-        if self.recorder.enabled() {
-            search.memo.report_shards(&self.recorder);
-        }
-        // Search-effort summary. Cost and plan are bitwise-deterministic
-        // (PR 1's serial/parallel equality); the memo/prune tallies are
-        // exact single-threaded and may vary run-to-run under a parallel
-        // warm, like the counters they mirror.
+        // Search-effort summary: like the plan, every tally is a
+        // deterministic function of the inputs (unless a deadline tripped).
         flight.emit(
             0,
             start_seq,
@@ -257,7 +217,7 @@ impl ExhaustivePlanner {
             expected_cost: cost,
             subproblems: search.limits.used(),
             truncated: search.limits.truncated(),
-            worker_panics: search.panics.load(Ordering::Relaxed),
+            worker_panics: 0,
             degradation: DegradationLevel::None,
         })
     }
@@ -283,8 +243,6 @@ struct SearchMetrics {
     budget_denied: Counter,
     /// 1 when the search ended truncated.
     budget_truncated: Counter,
-    /// Worker panics caught by the warm pool's isolation shell.
-    panic_caught: Counter,
 }
 
 impl SearchMetrics {
@@ -298,88 +256,27 @@ impl SearchMetrics {
             split_evaluated: rec.counter("planner.split.evaluated"),
             budget_denied: rec.counter("planner.budget.denied"),
             budget_truncated: rec.counter("planner.budget.truncated"),
-            panic_caught: rec.counter("planner.panic.caught"),
         }
     }
 }
 
-const MEMO_SHARDS: usize = 64;
-
-/// One shard of the memo. A hash map is safe here despite the
-/// determinism rules: the table is probed by key only — results never
-/// depend on iteration order (`report_shards` reads `len()` alone) —
-/// and lookups are the hottest operation in the whole search.
+/// The memo: the optimal `(cost, plan)` per range vector. A hash map is
+/// safe here despite the determinism rules: the table is probed by key
+/// only, so iteration order never reaches planner output, and lookups
+/// are the hottest operation in the whole search.
 // acqp-lint: allow(nondeterministic-iteration): lookup-only table — iteration order never reaches planner output
-type MemoShard = HashMap<Ranges, (f64, Plan)>;
-
-/// A concurrent memo table: optimal `(cost, plan)` per range vector,
-/// striped over independently locked shards to keep contention low.
-/// Values are canonical (see the module docs), so racing writers for the
-/// same key always store the same value and overwrites are benign.
-struct ShardedMemo {
-    shards: Vec<NoPoisonMutex<MemoShard>>,
-    /// Per-shard lookup outcomes: `(hits, misses)` per shard, kept as
-    /// plain relaxed atomics (noise next to the shard mutex) so shard
-    /// balance can be reported even though lookups race.
-    stats: Vec<(AtomicU64, AtomicU64)>,
-}
-
-impl ShardedMemo {
-    fn new() -> Self {
-        ShardedMemo {
-            shards: (0..MEMO_SHARDS).map(|_| NoPoisonMutex::new(MemoShard::new())).collect(),
-            stats: (0..MEMO_SHARDS).map(|_| (AtomicU64::new(0), AtomicU64::new(0))).collect(),
-        }
-    }
-
-    fn shard_index(&self, key: &Ranges) -> usize {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        h.finish() as usize % MEMO_SHARDS
-    }
-
-    fn get(&self, key: &Ranges) -> Option<(f64, Plan)> {
-        let i = self.shard_index(key);
-        let found = self.shards[i].lock().get(key).cloned();
-        let (hits, misses) = &self.stats[i];
-        if found.is_some() { hits } else { misses }.fetch_add(1, Ordering::Relaxed);
-        found
-    }
-
-    fn insert(&self, key: Ranges, value: (f64, Plan)) {
-        self.shards[self.shard_index(&key)].lock().insert(key, value);
-    }
-
-    /// Publishes per-shard hit/miss/size gauges
-    /// (`planner.memo.shard<i>.hits` etc.) for shards that saw traffic.
-    fn report_shards(&self, rec: &Recorder) {
-        for (i, (hits, misses)) in self.stats.iter().enumerate() {
-            let (h, m) = (hits.load(Ordering::Relaxed), misses.load(Ordering::Relaxed));
-            if h + m == 0 {
-                continue;
-            }
-            rec.gauge(&format!("planner.memo.shard{i}.hits"), h as f64);
-            rec.gauge(&format!("planner.memo.shard{i}.misses"), m as f64);
-            rec.gauge(
-                &format!("planner.memo.shard{i}.entries"),
-                self.shards[i].lock().len() as f64,
-            );
-        }
-    }
-}
+type Memo = HashMap<Ranges, (f64, Plan)>;
 
 struct Search<'a, E: Estimator> {
     schema: &'a Schema,
     query: &'a Query,
     est: &'a E,
     grid: SplitGrid,
-    memo: ShardedMemo,
+    memo: Memo,
     seq: SeqPlanner,
     model: crate::costmodel::CostModel,
     limits: SearchLimits,
     metrics: SearchMetrics,
-    /// Worker panics caught during `warm_parallel` (see there).
-    panics: AtomicUsize,
 }
 
 impl<E: Estimator> Search<'_, E> {
@@ -388,7 +285,7 @@ impl<E: Estimator> Search<'_, E> {
     /// is false when any subproblem in this subtree was closed by the
     /// budget, in which case the value is an upper bound on the optimum
     /// and is not memoized.
-    fn solve(&self, ctx: &E::Ctx) -> Result<(f64, Plan, bool)> {
+    fn solve(&mut self, ctx: &E::Ctx) -> Result<(f64, Plan, bool)> {
         let ranges = self.est.ranges(ctx).clone();
 
         // Base case 1: ranges decide the query.
@@ -404,14 +301,14 @@ impl<E: Estimator> Search<'_, E> {
         match self.memo.get(&ranges) {
             Some((c, p)) => {
                 self.metrics.memo_hit.incr(1);
-                return Ok((c, p, true));
+                return Ok((*c, p.clone(), true));
             }
             None => self.metrics.memo_miss.incr(1),
         }
 
         // `opened` tracks expansion *attempts* exactly like
         // `SearchLimits::used`, so it always equals the report's
-        // `subproblems` (asserted in `tests/parallel_equivalence.rs`).
+        // `subproblems` (asserted in `tests/plan_search.rs`).
         self.metrics.opened.incr(1);
         if !self.limits.try_expand() {
             // Effort budget exhausted: close this subproblem with a
@@ -547,107 +444,6 @@ impl<E: Estimator> Search<'_, E> {
             Some(b) => Plan::Decided(b),
             None => Plan::Seq(SeqOrder::new(self.query.undecided(ranges))),
         }
-    }
-
-    /// Warms the shared memo by solving a frontier of subproblems on a
-    /// scoped work-stealing pool. Purely an accelerator: every value a
-    /// worker computes is the same one the final serial pass would, so
-    /// the combine below it sees memo hits instead of recomputation.
-    /// Worker errors are swallowed here — a failing subproblem is not
-    /// memoized, so the serial pass re-encounters the same error
-    /// deterministically.
-    ///
-    /// Worker *panics* are likewise isolated: each `solve` runs under
-    /// `catch_unwind`, so one panicking subproblem costs only its own
-    /// memo entry while the surviving workers drain the queue. The memo
-    /// shards use [`NoPoisonMutex`], so a panic inside an estimator call
-    /// cannot poison shared planner state (only whole `(cost, plan)`
-    /// values are ever inserted). Caught panics are counted into
-    /// `planner.panic.caught` and surface as
-    /// [`PlanReport::worker_panics`]; the combine pass still returns a
-    /// correct report because it re-solves anything the dead worker
-    /// failed to memoize.
-    fn warm_parallel(&self, root: &E::Ctx, threads: usize) {
-        let tasks = self.frontier(root, threads * 4);
-        if tasks.len() < 2 {
-            return;
-        }
-        let injector = Injector::new();
-        for t in tasks {
-            injector.push(t);
-        }
-        let scope_result = crossbeam::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|_| loop {
-                    match injector.steal() {
-                        Steal::Success(ctx) => {
-                            if catch_unwind(AssertUnwindSafe(|| {
-                                let _ = self.solve(&ctx);
-                            }))
-                            .is_err()
-                            {
-                                self.panics.fetch_add(1, Ordering::Relaxed);
-                                self.metrics.panic_caught.incr(1);
-                            }
-                        }
-                        Steal::Empty => break,
-                        Steal::Retry => {}
-                    }
-                });
-            }
-        });
-        // `catch_unwind` above absorbs worker panics, so the scope only
-        // errs if a thread died outside the isolation shell (e.g. the
-        // runtime failed to spawn). Even then the warm pass is merely an
-        // accelerator — record the event and let the serial combine
-        // produce the answer.
-        if scope_result.is_err() {
-            self.panics.fetch_add(1, Ordering::Relaxed);
-            self.metrics.panic_caught.incr(1);
-        }
-    }
-
-    /// Collects distinct reachable subproblems one or two split levels
-    /// below the root — the fan-out units for the worker pool. Zero-mass
-    /// and already-decided children are excluded: the serial pass never
-    /// recurses into them, so warming them would only burn budget.
-    fn frontier(&self, root: &E::Ctx, target: usize) -> Vec<E::Ctx> {
-        let mut cur = vec![root.clone()];
-        for _depth in 0..2 {
-            if cur.len() >= target {
-                break;
-            }
-            let mut seen: BTreeSet<Ranges> = BTreeSet::new();
-            let mut next = Vec::new();
-            for ctx in &cur {
-                let ranges = self.est.ranges(ctx).clone();
-                if self.query.truth_given(&ranges).is_some() {
-                    continue;
-                }
-                for attr in 0..self.schema.len() {
-                    let r = ranges.get(attr);
-                    if r.is_point() {
-                        continue;
-                    }
-                    for cut in self.grid.cuts_in(attr, r) {
-                        for child_r in [Range::new(r.lo(), cut - 1), Range::new(cut, r.hi())] {
-                            if !seen.insert(ranges.with(attr, child_r)) {
-                                continue;
-                            }
-                            let child = self.est.refine(ctx, attr, child_r);
-                            if self.est.mass(&child) > 0.0 {
-                                next.push(child);
-                            }
-                        }
-                    }
-                }
-            }
-            if next.is_empty() {
-                break;
-            }
-            cur = next;
-        }
-        cur
     }
 }
 
@@ -785,46 +581,5 @@ mod tests {
         assert_eq!(plan, Plan::Seq(SeqOrder::new(vec![0])));
         assert!((cost - 5.0).abs() < 1e-12);
         assert!(measure(&plan, &query, &schema, &data).all_correct);
-    }
-
-    #[test]
-    fn parallel_matches_serial_bitwise() {
-        let schema = Schema::new(vec![
-            Attribute::new("a", 5, 4.0),
-            Attribute::new("b", 5, 2.0),
-            Attribute::new("t", 5, 0.5),
-        ])
-        .unwrap();
-        let mut x = 9u64;
-        let mut rng = move || {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((x >> 33) % 5) as u16
-        };
-        let rows: Vec<Vec<u16>> = (0..250)
-            .map(|_| {
-                let t = rng();
-                vec![(t + rng() % 2) % 5, (4 - t + rng() % 3) % 5, t]
-            })
-            .collect();
-        let data = Dataset::from_rows(&schema, rows).unwrap();
-        let query = Query::new(vec![Pred::in_range(0, 0, 2), Pred::in_range(1, 2, 4)]).unwrap();
-        let est = CountingEstimator::with_ranges(&data, Ranges::root(&schema));
-        let serial = ExhaustivePlanner::new().plan_with_report(&schema, &query, &est).unwrap();
-        assert!(!serial.truncated);
-        for threads in [2, 4, 8] {
-            let par = ExhaustivePlanner::new()
-                .threads(threads)
-                .plan_with_report(&schema, &query, &est)
-                .unwrap();
-            assert!(!par.truncated);
-            assert_eq!(
-                serial.expected_cost.to_bits(),
-                par.expected_cost.to_bits(),
-                "threads={threads}: serial {} vs parallel {}",
-                serial.expected_cost,
-                par.expected_cost
-            );
-            assert_eq!(serial.plan, par.plan, "threads={threads}");
-        }
     }
 }

@@ -60,7 +60,6 @@ pub struct FallbackPlanner {
     max_splits: usize,
     stage_subproblems: usize,
     stage_budget: Option<Duration>,
-    threads: usize,
     cost_model: CostModel,
     recorder: Recorder,
 }
@@ -81,7 +80,6 @@ impl FallbackPlanner {
             max_splits: 8,
             stage_subproblems: 1_000_000,
             stage_budget: None,
-            threads: 1,
             cost_model: CostModel::PerAttribute,
             recorder: Recorder::disabled(),
         }
@@ -110,12 +108,6 @@ impl FallbackPlanner {
     /// long before the ladder descends past it.
     pub fn stage_budget(mut self, d: Duration) -> Self {
         self.stage_budget = Some(d);
-        self
-    }
-
-    /// Threads for the conditional stages' parallel search.
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = n.max(1);
         self
     }
 
@@ -162,7 +154,6 @@ impl FallbackPlanner {
             None => ExhaustivePlanner::new(),
         }
         .max_subproblems(self.stage_subproblems)
-        .threads(self.threads)
         .with_cost_model(self.cost_model.clone())
         .with_recorder(self.recorder.clone());
         if let Some(d) = self.stage_budget {
@@ -179,7 +170,6 @@ impl FallbackPlanner {
 
         // Rung 2 — greedy conditional heuristic.
         let mut gr = GreedyPlanner::new(self.max_splits)
-            .threads(self.threads)
             .with_cost_model(self.cost_model.clone())
             .with_recorder(self.recorder.clone());
         if let Some(g) = &self.grid {

@@ -21,18 +21,9 @@
 //! side's conditioned truth distribution by prefix-merging per-value
 //! tables ([`Estimator::truth_by_value`]) — one pass over the leaf's
 //! support per attribute instead of one per candidate cut.
-//!
-//! With [`GreedyPlanner::threads`] > 1 the per-attribute cut sweeps of
-//! `GREEDYSPLIT` run concurrently on a scoped pool. Each attribute's
-//! sweep is self-contained (no cross-attribute pruning), and the winner
-//! is reduced in attribute-index order with a strict `<`, so the chosen
-//! split — and therefore the whole plan — is bit-identical to the
-//! single-threaded search.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use acqp_obs::{Counter, Recorder};
@@ -43,7 +34,6 @@ use crate::plan::{Plan, SeqOrder};
 use crate::prob::{Estimator, TruthAccum, TruthTable};
 use crate::query::Query;
 use crate::range::{Range, Ranges};
-use crate::sync::NoPoisonMutex;
 
 use super::budget::{Deadline, DegradationLevel, PlanReport};
 use super::seq::{SeqAlgorithm, SeqPlanner};
@@ -84,7 +74,6 @@ pub struct GreedyPlanner {
     base: SeqAlgorithm,
     min_support: usize,
     min_gain: f64,
-    threads: usize,
     time_budget: Option<Duration>,
     cost_model: crate::costmodel::CostModel,
     recorder: Recorder,
@@ -102,7 +91,6 @@ impl GreedyPlanner {
             base: SeqAlgorithm::Auto,
             min_support: 2,
             min_gain: 1e-9,
-            threads: 1,
             time_budget: None,
             cost_model: crate::costmodel::CostModel::PerAttribute,
             recorder: Recorder::disabled(),
@@ -114,13 +102,6 @@ impl GreedyPlanner {
     /// `DESIGN.md` §8). Metrics never influence which leaf expands.
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
         self.recorder = recorder;
-        self
-    }
-
-    /// Number of threads for the `GREEDYSPLIT` attribute sweeps. The
-    /// produced plan is bit-identical for any thread count.
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = n.max(1);
         self
     }
 
@@ -238,8 +219,6 @@ impl GreedyPlanner {
         // `subproblems` field, mirroring the exhaustive planner.
         let opened = self.recorder.counter("planner.subproblems.opened");
         let split_eval = self.recorder.counter("planner.split.evaluated");
-        // Worker panics caught by the parallel sweep's isolation shell.
-        let panics = AtomicUsize::new(0);
 
         // Arena-based tree under construction. Leaf payloads live in
         // `leaves`; arena nodes reference them by slot.
@@ -269,17 +248,8 @@ impl GreedyPlanner {
             let table = est.truth_table(&root_ctx, query);
             let (order, seq_cost) = seq.order_for(schema, query, &root_ranges, &table)?;
             plan_cost = seq_cost;
-            let split = self.greedy_split(
-                schema,
-                query,
-                est,
-                &seq,
-                &grid,
-                &root_ctx,
-                &table,
-                &split_eval,
-                &panics,
-            )?;
+            let split =
+                self.greedy_split(schema, query, est, &seq, &grid, &root_ctx, &table, &split_eval)?;
             let state = LeafState {
                 ctx: root_ctx,
                 ranges: root_ranges,
@@ -343,17 +313,7 @@ impl GreedyPlanner {
                     None
                 } else {
                     let table = est.truth_table(&ctx, query);
-                    self.greedy_split(
-                        schema,
-                        query,
-                        est,
-                        &seq,
-                        &grid,
-                        &ctx,
-                        &table,
-                        &split_eval,
-                        &panics,
-                    )?
+                    self.greedy_split(schema, query, est, &seq, &grid, &ctx, &table, &split_eval)?
                 };
                 let state = LeafState { ctx, ranges, decided, order, seq_cost, split, arena_idx };
                 let leaf_slot = leaves.len();
@@ -399,10 +359,6 @@ impl GreedyPlanner {
                 ),
             }
         }
-        let worker_panics = panics.load(Ordering::Relaxed);
-        if worker_panics > 0 {
-            self.recorder.counter("planner.panic.caught").incr(worker_panics as u64);
-        }
         flight.emit(
             0,
             start_seq,
@@ -419,7 +375,7 @@ impl GreedyPlanner {
             expected_cost: plan_cost,
             subproblems: splits_used,
             truncated,
-            worker_panics,
+            worker_panics: 0,
             degradation: DegradationLevel::None,
         })
     }
@@ -428,15 +384,9 @@ impl GreedyPlanner {
     /// predicate for one subproblem, or `None` when no valid split
     /// exists.
     ///
-    /// Each attribute's cut sweep is scored independently (optionally in
-    /// parallel) and the winner is reduced in attribute-index order with
-    /// a strict `<`, so the result does not depend on thread count.
-    ///
-    /// A worker that panics mid-sweep is isolated (`catch_unwind` around
-    /// each attribute's scoring, [`NoPoisonMutex`] around the result
-    /// slots): its slot is simply left empty and re-scored serially
-    /// after the pool drains, so the reduce still sees every candidate
-    /// and the chosen split stays bit-identical to the serial sweep.
+    /// Each attribute's cut sweep is scored independently and the
+    /// winner is reduced in attribute-index order with a strict `<`, so
+    /// ties keep the lower attribute id.
     #[allow(clippy::too_many_arguments)] // mirrors Fig. 6's parameter list
     fn greedy_split<E: Estimator>(
         &self,
@@ -448,7 +398,6 @@ impl GreedyPlanner {
         ctx: &E::Ctx,
         table: &TruthTable,
         split_eval: &Counter,
-        panics: &AtomicUsize,
     ) -> Result<Option<BestSplit>> {
         let ranges = est.ranges(ctx).clone();
         let total_w = table.total();
@@ -457,66 +406,17 @@ impl GreedyPlanner {
         }
         let cand: Vec<usize> = (0..schema.len()).filter(|&a| !ranges.get(a).is_point()).collect();
 
-        let scored: Vec<Result<Option<BestSplit>>> = if self.threads > 1 && cand.len() > 1 {
-            let slots: NoPoisonMutex<Vec<Option<Result<Option<BestSplit>>>>> =
-                NoPoisonMutex::new(vec![None; cand.len()]);
-            let next = AtomicUsize::new(0);
-            let scope_result = crossbeam::scope(|s| {
-                for _ in 0..self.threads.min(cand.len()) {
-                    s.spawn(|_| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= cand.len() {
-                            break;
-                        }
-                        let r = catch_unwind(AssertUnwindSafe(|| {
-                            self.score_attr(
-                                schema, query, est, seq, grid, ctx, table, &ranges, total_w,
-                                cand[i], split_eval,
-                            )
-                        }));
-                        match r {
-                            Ok(r) => slots.lock()[i] = Some(r),
-                            Err(_) => {
-                                panics.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    });
-                }
-            });
-            if scope_result.is_err() {
-                // A worker died outside its isolation shell; its slots
-                // are re-scored below like any other panicked slot.
-                panics.fetch_add(1, Ordering::Relaxed);
-            }
-            slots
-                .into_inner()
-                .into_iter()
-                .enumerate()
-                .map(|(i, slot)| match slot {
-                    Some(r) => r,
-                    // Panicked (or never-started) slot: re-score on this
-                    // thread. `score_attr` is a pure function of the
-                    // subproblem, so the serial retry returns exactly
-                    // what the healthy worker would have.
-                    None => self.score_attr(
-                        schema, query, est, seq, grid, ctx, table, &ranges, total_w, cand[i],
-                        split_eval,
-                    ),
-                })
-                .collect()
-        } else {
-            cand.iter()
-                .map(|&a| {
-                    self.score_attr(
-                        schema, query, est, seq, grid, ctx, table, &ranges, total_w, a, split_eval,
-                    )
-                })
-                .collect()
-        };
+        let scored: Vec<Result<Option<BestSplit>>> = cand
+            .iter()
+            .map(|&a| {
+                self.score_attr(
+                    schema, query, est, seq, grid, ctx, table, &ranges, total_w, a, split_eval,
+                )
+            })
+            .collect();
 
         // Deterministic reduce: first strictly-better wins, scanning
-        // attributes in index order — ties keep the lower attribute id,
-        // matching the serial sweep.
+        // attributes in index order — ties keep the lower attribute id.
         let mut best: Option<BestSplit> = None;
         for r in scored {
             if let Some(s) = r? {
@@ -530,8 +430,7 @@ impl GreedyPlanner {
 
     /// Scores every candidate cut of one attribute, returning the
     /// attribute's best split. Self-contained per attribute — no state
-    /// from other attributes' sweeps — so calls can run concurrently
-    /// while producing exactly the serial sweep's values.
+    /// from other attributes' sweeps.
     #[allow(clippy::too_many_arguments)]
     fn score_attr<E: Estimator>(
         &self,
@@ -735,8 +634,7 @@ mod tests {
         assert!(plan.split_count() <= 1);
     }
 
-    /// Dense instance where many attributes compete per split, so the
-    /// parallel per-attribute sweeps actually fan out.
+    /// Dense instance where many attributes compete per split.
     fn dense_setup() -> (Schema, Dataset, Query) {
         let schema = Schema::new(vec![
             Attribute::new("a", 5, 7.0),
@@ -764,29 +662,6 @@ mod tests {
         ])
         .unwrap();
         (schema, data, query)
-    }
-
-    #[test]
-    fn parallel_matches_serial_bitwise() {
-        let (schema, data, query) = dense_setup();
-        let est = CountingEstimator::with_ranges(&data, Ranges::root(&schema));
-        let serial = GreedyPlanner::new(8).plan_with_report(&schema, &query, &est).unwrap();
-        assert!(!serial.truncated);
-        for threads in [2, 4, 8] {
-            let par = GreedyPlanner::new(8)
-                .threads(threads)
-                .plan_with_report(&schema, &query, &est)
-                .unwrap();
-            assert!(!par.truncated);
-            assert_eq!(
-                serial.expected_cost.to_bits(),
-                par.expected_cost.to_bits(),
-                "threads={threads}: {} vs {}",
-                serial.expected_cost,
-                par.expected_cost
-            );
-            assert_eq!(serial.plan, par.plan, "threads={threads}");
-        }
     }
 
     #[test]

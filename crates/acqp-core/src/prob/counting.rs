@@ -40,8 +40,8 @@ pub struct CountingEstimator<'d> {
     data: &'d Dataset,
     root_ranges: Ranges,
     /// Memoized per-row truth bitmasks for the most recent query,
-    /// behind a non-poisoning mutex so planner worker threads can share
-    /// the estimator even when one of them panics mid-search.
+    /// behind a non-poisoning mutex so the estimator stays `Sync` and
+    /// usable after a caught panic mid-search.
     mask_cache: NoPoisonMutex<Option<(Query, Arc<Vec<u64>>)>>,
     /// `estimator.mask_cache.hit` — lookups served from the cache.
     cache_hit: Counter,

@@ -38,9 +38,9 @@ pub type CtxId = usize;
 /// Contexts are refined functionally: [`Estimator::refine`] returns a new
 /// context conditioned on one additional range.
 ///
-/// Estimators are `Sync` and contexts are `Send + Sync` so the planners
-/// can fan subproblems out across a thread pool: workers share one
-/// estimator by reference and move contexts through a work queue.
+/// Estimators are `Sync` and contexts are `Send + Sync`, so one
+/// estimator can be shared by reference across threads; plan search
+/// itself runs on one thread.
 pub trait Estimator: Sync {
     /// Conditioning context; cheap to clone.
     type Ctx: Clone + Send + Sync;

@@ -1,20 +1,19 @@
 //! Non-poisoning synchronization primitives for shared planner state.
 //!
-//! The parallel planners share a memo table and an estimator mask cache
-//! across worker threads. With [`std::sync::Mutex`], a worker that
-//! panics while holding the lock *poisons* it, and every later
-//! `lock().unwrap()` converts one isolated worker failure into a
-//! process-wide abort. That is exactly backwards for a basestation that
-//! must keep planning through faults: the data guarded by these locks is
-//! a cache of pure-function results (memoized subproblem solutions,
-//! per-row truth masks), so a panic mid-update can at worst lose an
-//! entry — it can never leave the map in a logically corrupt state,
-//! because entries are inserted whole after being computed.
+//! Estimators are `Sync`, and the counting estimator keeps a mask cache
+//! behind a lock. With [`std::sync::Mutex`], a caller that panics while
+//! holding the lock *poisons* it, and every later `lock().unwrap()`
+//! converts one isolated failure into a process-wide abort. That is
+//! exactly backwards for a basestation that must keep planning through
+//! faults: the data guarded by these locks is a cache of pure-function
+//! results (per-row truth masks), so a panic mid-update can at worst
+//! lose an entry — it can never leave the cache in a logically corrupt
+//! state, because entries are inserted whole after being computed.
 //!
 //! [`NoPoisonMutex`] keeps std's mutex underneath but recovers the guard
 //! from a [`PoisonError`] instead of propagating it, making the lock
-//! safe to share with panic-isolated workers (see the planners'
-//! `catch_unwind` shells).
+//! safe to share across a panic that was caught (see the fallback
+//! ladder's per-rung `catch_unwind`).
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 

@@ -1,8 +1,8 @@
 //! acqp-lint: the workspace invariant checker.
 //!
-//! PRs 1–4 established guarantees — bitwise-identical plans for any
-//! `--threads n`, poison-free locking, planning that is infallible by
-//! construction, and a stable metrics taxonomy — that example-based
+//! PRs 1–4 established guarantees — plans that are a deterministic
+//! function of their inputs, poison-free locking, planning that is
+//! infallible by construction, and a stable metrics taxonomy — that example-based
 //! tests can only sample. This crate makes them structural: a
 //! zero-dependency scanner ([`scan`]) lexes every `.rs` file in the
 //! workspace, the named rules ([`rules`]) pattern-match the masked

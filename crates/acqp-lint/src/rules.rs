@@ -66,8 +66,8 @@ pub const RULES: &[RuleInfo] = &[
         severity: Severity::Error,
         summary: "no Instant::now/SystemTime::now outside planner/budget.rs and bench/test code",
         explain: "Plan selection is P* = argmin_P E[C(P,x)] over a deterministic search; the \
-                  repo guarantees bitwise-identical plans for any --threads n (PR 1). A wall \
-                  clock read on a search path makes results depend on machine load. All \
+                  repo guarantees bitwise-identical plans for identical inputs on every run. A \
+                  wall clock read on a search path makes results depend on machine load. All \
                   deadline handling belongs in acqp-core/src/planner/budget.rs (SearchLimits / \
                   Deadline), which confines clock reads to the cooperative budget that may only \
                   *truncate* a search, never reorder it. Benches, tests and examples are \

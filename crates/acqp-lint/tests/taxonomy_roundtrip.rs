@@ -20,7 +20,7 @@ fn taxonomy() -> Vec<acqp_lint::taxonomy::TaxonomyEntry> {
 }
 
 /// Snapshot with planner + executor activity on a small correlated
-/// instance, exercising the exhaustive (threaded), greedy and fallback
+/// instance, exercising the exhaustive, greedy and fallback
 /// planners plus a metered execution pass.
 fn instrumented_snapshot() -> acqp_obs::Snapshot {
     let schema = Schema::new(vec![
@@ -42,7 +42,6 @@ fn instrumented_snapshot() -> acqp_obs::Snapshot {
 
     let rec = Recorder::new(Arc::new(NoopSink));
     ExhaustivePlanner::new()
-        .threads(2)
         .with_recorder(rec.clone())
         .plan_with_report(&schema, &query, &est)
         .unwrap();

@@ -9,8 +9,8 @@
 //! the `vendor/*` stand-ins):
 //!
 //! * [`Counter`] — a monotonically increasing `u64`, striped over
-//!   per-thread shards so parallel planner workers record without
-//!   contention; shards are summed on [`Recorder::drain`].
+//!   per-thread shards so concurrent recorders (batch workers, parallel
+//!   replays) record without contention; shards are summed on [`Recorder::drain`].
 //! * [`FloatCounter`] — the same for `f64` accumulation (energy in µJ,
 //!   accrued acquisition cost), implemented as a CAS loop over bit
 //!   patterns.
