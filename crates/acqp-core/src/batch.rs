@@ -292,6 +292,57 @@ impl PreparedPlan {
     pub fn chain(&self, start: u32, len: u32) -> &[AttrId] {
         self.chains.get(start as usize..start as usize + len as usize).unwrap_or_default()
     }
+
+    /// Executes the plan for row `row` of `data` alone: the one-row
+    /// walk of the same node and exit tables [`BatchExecutor`] sweeps,
+    /// so its verdict, cost bits and chain span are exactly what a
+    /// batch over that row would store. `row` must lie inside `data`.
+    pub fn walk_row(&self, data: &Dataset, row: usize) -> RowOutcome {
+        let mut n = 0usize;
+        loop {
+            match self.flat.nodes[n] {
+                FlatNode::Decided(verdict) => {
+                    let e = self.entry[n];
+                    return RowOutcome {
+                        verdict,
+                        cost: e.cost,
+                        chain: (e.chain_start, e.chain_len),
+                    };
+                }
+                FlatNode::Seq { .. } => {
+                    let lf = self.leaf[n];
+                    let e = self.entry[n];
+                    let steps = &self.steps[lf.start as usize..(lf.start + lf.len) as usize];
+                    let mut exit = (true, e.cost, e.chain_len);
+                    for step in steps {
+                        let pass = step.pred.eval(data.value(row, step.attr as usize));
+                        exit = (pass, step.cost_after, step.chain_len_after);
+                        if !pass {
+                            break;
+                        }
+                    }
+                    let (verdict, cost, len) = exit;
+                    return RowOutcome { verdict, cost, chain: (e.chain_start, len) };
+                }
+                FlatNode::Split { attr, cut, lo, hi } => {
+                    n = if data.value(row, attr as usize) < cut { lo } else { hi } as usize;
+                }
+            }
+        }
+    }
+}
+
+/// One row's outcome from [`PreparedPlan::walk_row`]: the verdict, the
+/// acquisition cost `C(P, x)` and the chain as a `(start, len)` span of
+/// the plan's arena.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RowOutcome {
+    /// The plan's verdict.
+    pub verdict: bool,
+    /// Acquisition cost, bitwise equal to the scalar walk's.
+    pub cost: f64,
+    /// The acquisition chain, resolved with [`PreparedPlan::chain`].
+    pub chain: (u32, u32),
 }
 
 /// Per-slot outcomes of executing a prepared plan over one batch.

@@ -292,72 +292,6 @@ impl ExecMetrics {
     }
 }
 
-/// Cross-query acquisition cache for one `(epoch, mote)` slot of a
-/// multi-query service run: the first query to acquire an attribute
-/// pays for the sensor read, every later query in the same slot is
-/// served from the cache for free. Reused across slots via
-/// [`SharedScratch::reset`] to keep the per-epoch loop allocation-free.
-#[derive(Debug, Clone)]
-pub struct SharedScratch {
-    cache: Vec<Option<u16>>,
-    acquired: Vec<AttrId>,
-}
-
-impl SharedScratch {
-    /// Empty scratch for a schema of `n_attrs` attributes.
-    pub fn new(n_attrs: usize) -> SharedScratch {
-        SharedScratch { cache: vec![None; n_attrs], acquired: Vec::new() }
-    }
-
-    /// Clears the cache for the next `(epoch, mote)` slot without
-    /// releasing its capacity.
-    pub fn reset(&mut self) {
-        for v in &mut self.cache {
-            *v = None;
-        }
-        self.acquired.clear();
-    }
-
-    /// Attributes physically acquired in this slot, in first-demand
-    /// order across all queries — the slot's deduplicated acquisition
-    /// chain.
-    pub fn acquired(&self) -> &[AttrId] {
-        &self.acquired
-    }
-}
-
-/// A [`TupleSource`] that lets several queries share one underlying
-/// source: the first `acquire` of an attribute delegates to `inner`
-/// (charging whatever that source charges — e.g. sensing energy) and
-/// caches the value in the [`SharedScratch`]; repeat acquisitions by
-/// later queries in the same slot return the cached value without
-/// touching `inner`. This is the multi-query acquisition merge of
-/// `DESIGN.md` §14.
-#[derive(Debug)]
-pub struct SharedSource<'a, S> {
-    inner: &'a mut S,
-    scratch: &'a mut SharedScratch,
-}
-
-impl<'a, S: TupleSource> SharedSource<'a, S> {
-    /// Wraps `inner`, deduplicating acquisitions through `scratch`.
-    pub fn new(inner: &'a mut S, scratch: &'a mut SharedScratch) -> Self {
-        SharedSource { inner, scratch }
-    }
-}
-
-impl<S: TupleSource> TupleSource for SharedSource<'_, S> {
-    fn acquire(&mut self, attr: AttrId) -> u16 {
-        if let Some(v) = self.scratch.cache[attr] {
-            return v;
-        }
-        let v = self.inner.acquire(attr);
-        self.scratch.cache[attr] = Some(v);
-        self.scratch.acquired.push(attr);
-        v
-    }
-}
-
 /// Per-tuple acquisition state: the value cache, the acquired-set
 /// bitmask, the running cost and the acquisition order. Shared by the
 /// tree executor, the sensornet wire interpreter and the vectorized
@@ -579,35 +513,6 @@ mod tests {
         assert!((snap.value("exec.cost_total") - 40.0).abs() < 1e-9);
         assert_eq!(snap.hists["exec.acquisitions_per_tuple"].1, 2);
         assert!((m.actual_selectivity(0).unwrap() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn shared_source_charges_inner_once_per_attribute() {
-        let s = schema();
-        let q = query();
-        let plan = Plan::Seq(SeqOrder::new(vec![0, 1]));
-        let mut inner = FixedTuple(vec![1, 2, 0], 0);
-        let mut scratch = SharedScratch::new(s.len());
-
-        // Two queries over the same slot: the second run re-demands x0
-        // and x1 but the underlying source is only read twice in total.
-        for _ in 0..2 {
-            let mut shared = SharedSource::new(&mut inner, &mut scratch);
-            let out = execute(&plan, &q, &s, &mut shared);
-            assert!(out.verdict);
-            // Per-query outcomes still report the full chain and cost.
-            assert_eq!(out.acquired, vec![0, 1]);
-            assert_eq!(out.cost, 30.0);
-        }
-        assert_eq!(inner.1, 2, "inner source read once per distinct attribute");
-        assert_eq!(scratch.acquired(), &[0, 1]);
-
-        // Next slot: reset re-arms the cache.
-        scratch.reset();
-        assert!(scratch.acquired().is_empty());
-        let mut shared = SharedSource::new(&mut inner, &mut scratch);
-        execute(&plan, &q, &s, &mut shared);
-        assert_eq!(inner.1, 4);
     }
 
     #[test]

@@ -97,7 +97,7 @@ pub mod prelude {
     pub use crate::attr::{AttrId, Attribute, Schema};
     pub use crate::batch::{
         truth_columnar, BatchExecutor, BatchMetrics, BatchOutcome, ColumnBatch, FlatPlan,
-        PreparedPlan, BATCH_ROWS,
+        PreparedPlan, RowOutcome, BATCH_ROWS,
     };
     pub use crate::cost::{
         expected_cost, expected_cost_model, measure, measure_metered, measure_metered_mode,
@@ -109,7 +109,7 @@ pub mod prelude {
     pub use crate::error::{Error, Result};
     pub use crate::exec::{
         eval_seq_leaf, execute, execute_metered, execute_model, ExecMetrics, ExecMode, ExecOutcome,
-        QueryStatus, RowSource, SharedScratch, SharedSource, TupleSource, TupleState,
+        QueryStatus, RowSource, TupleSource, TupleState,
     };
     pub use crate::exists::{
         execute_exists, measure_exists, BranchStep, ExistsPlan, ExistsPlanner, ExistsQuery,

@@ -151,7 +151,7 @@ fn check_taxonomy(
     }
 
     for (entry, covered) in entries.iter().zip(&covered) {
-        if *covered || entry.kind == "span-child" {
+        if *covered {
             continue;
         }
         findings.push(Finding {

@@ -142,8 +142,7 @@ pub const RULES: &[RuleInfo] = &[
                   FlightRecorder::emit/emit_owned, documented as kind `event` — DESIGN.md \
                   §13) and checks them against the table between the acqp-lint:taxonomy \
                   markers in DESIGN.md §8 — in both directions, so documentation can neither \
-                  lag nor lead the code. Rows of kind `span-child` document child-span paths \
-                  that are assembled at runtime and are exempt from the source-side check.",
+                  lag nor lead the code.",
     },
     RuleInfo {
         id: "duplicate-bench-writer",

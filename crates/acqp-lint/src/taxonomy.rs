@@ -9,10 +9,7 @@
 //! kind `event` (DESIGN.md §13). Doc side, the markdown table between
 //! the `acqp-lint:taxonomy:begin/end` markers in DESIGN.md is parsed
 //! into patterns. The rule then checks both directions: no emitted
-//! name may be undocumented, and no documented name may be dead —
-//! except rows of kind `span-child`, which describe paths assembled at
-//! runtime (`span.child("warm")`) and are covered by the runtime
-//! round-trip test instead.
+//! name may be undocumented, and no documented name may be dead.
 
 use crate::scan::ScannedFile;
 
@@ -48,7 +45,7 @@ pub struct TaxonomyEntry {
     /// Name pattern, `<*>` as a within-segment wildcard.
     pub pattern: String,
     /// Instrument kind (`counter`, `gauge`, `hist`, `float_counter`,
-    /// `span`, `span-child`).
+    /// `span`, `event`).
     pub kind: String,
     /// 1-based line of the row in DESIGN.md.
     pub line: usize,
@@ -289,7 +286,6 @@ fn f(rec: &Recorder, est: &E) {
     rec.counter("no dots here");           // not a dot-path
     let h = est.hist(&root, 0);            // no literal argument
     out.push_str(&format!("  {v:>12.3}")); // format noise, wrong prefix
-    let _ = span.child("warm");            // no dot: runtime child path
 }
 "#;
         assert!(emits(src).is_empty());
@@ -314,13 +310,13 @@ fn f(rec: &Recorder, est: &E) {
 
     #[test]
     fn taxonomy_table_parses_rows_and_lines() {
-        let md = "intro\n<!-- acqp-lint:taxonomy:begin -->\n\n| name | kind | meaning |\n|---|---|---|\n| `planner.memo.hit` | counter | memo hits |\n| `planner.exhaustive.warm` | span-child | warm phase |\n<!-- acqp-lint:taxonomy:end -->\n";
+        let md = "intro\n<!-- acqp-lint:taxonomy:begin -->\n\n| name | kind | meaning |\n|---|---|---|\n| `planner.memo.hit` | counter | memo hits |\n| `planner.exhaustive` | span | exhaustive search |\n<!-- acqp-lint:taxonomy:end -->\n";
         let t = parse_taxonomy(md).expect("parses");
         assert_eq!(t.len(), 2);
         assert_eq!(t[0].pattern, "planner.memo.hit");
         assert_eq!(t[0].kind, "counter");
         assert_eq!(t[0].line, 6);
-        assert_eq!(t[1].kind, "span-child");
+        assert_eq!(t[1].kind, "span");
         assert!(parse_taxonomy("no markers").is_err());
     }
 }

@@ -120,9 +120,18 @@ fn fake_workspace(tag: &str) -> PathBuf {
         concat!(
             "# fake\n\n<!-- acqp-lint:taxonomy:begin -->\n",
             "| name | kind | meaning |\n|---|---|---|\n",
-            "| `fixture.child` | span-child | keeps the table non-empty |\n",
+            // One row the fixture crate below registers keeps the table
+            // non-empty without adding findings of its own.
+            "| `fixture.rows` | counter | keeps the table non-empty |\n",
             "<!-- acqp-lint:taxonomy:end -->\n",
         ),
+    )
+    .unwrap();
+    let fixture = dir.join("crates/fixture/src");
+    std::fs::create_dir_all(&fixture).unwrap();
+    std::fs::write(
+        fixture.join("lib.rs"),
+        "pub fn record(rec: &Recorder) {\n    rec.counter(\"fixture.rows\").incr(1);\n}\n",
     )
     .unwrap();
     dir

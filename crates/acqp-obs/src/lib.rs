@@ -16,7 +16,7 @@
 //!   patterns.
 //! * [`Hist`] — a fixed-bucket power-of-two histogram (`le_1`, `le_2`,
 //!   `le_4`, …), for per-tuple cost and per-span latency distributions.
-//! * [`Span`] — a hierarchical RAII timer over the monotonic clock
+//! * [`Span`] — an RAII timer over the monotonic clock
 //!   ([`std::time::Instant`]); dropping the guard records the elapsed
 //!   microseconds and streams an event to the sink.
 //! * [`Recorder`] — the `Sync` handle tying it together. A *disabled*
@@ -483,7 +483,7 @@ impl Recorder {
         }
     }
 
-    /// Starts a root span. Timing only happens when the recorder is
+    /// Starts a span. Timing only happens when the recorder is
     /// enabled; a disabled recorder's span is a zero-cost token.
     pub fn span(&self, name: &str) -> Span {
         Span {
@@ -537,28 +537,13 @@ impl std::fmt::Debug for Recorder {
     }
 }
 
-/// RAII span guard: created by [`Recorder::span`] or [`Span::child`],
-/// records its elapsed time when dropped. Child spans extend the path
-/// with a `.`-separated segment, giving the hierarchical taxonomy
-/// (`planner.search.warm`) without thread-local ambient state.
+/// RAII span guard: created by [`Recorder::span`], records its elapsed
+/// time under its dot-path when dropped.
 #[derive(Debug)]
 pub struct Span {
     rec: Recorder,
     path: String,
     start: Option<Instant>,
-}
-
-impl Span {
-    /// A child span: same recorder, path extended with `name`.
-    pub fn child(&self, name: &str) -> Span {
-        let timed = self.start.is_some();
-        Span {
-            rec: self.rec.clone(),
-            path: if timed { format!("{}.{name}", self.path) } else { String::new() },
-            // acqp-lint: allow(wallclock-in-planner): span timing is observational — never read back into a planning decision
-            start: timed.then(Instant::now),
-        }
-    }
 }
 
 impl Drop for Span {
@@ -719,26 +704,22 @@ mod tests {
     }
 
     #[test]
-    fn spans_aggregate_and_nest() {
+    fn spans_aggregate_per_path() {
         let sink = Arc::new(MemorySink::new());
         let rec = Recorder::new(sink.clone());
         {
-            let root = rec.span("search");
-            {
-                let _warm = root.child("warm");
-            }
-            {
-                let _warm = root.child("warm");
-            }
+            let _search = rec.span("plan.search");
+            drop(rec.span("plan.verify"));
+            drop(rec.span("plan.verify"));
         }
         let snap = rec.drain();
-        assert_eq!(snap.spans["search"].count, 1);
-        assert_eq!(snap.spans["search.warm"].count, 2);
+        assert_eq!(snap.spans["plan.search"].count, 1);
+        assert_eq!(snap.spans["plan.verify"].count, 2);
         let events = sink.span_events();
         assert_eq!(events.len(), 3);
-        // Children complete before their parent.
-        assert_eq!(events[0].path, "search.warm");
-        assert_eq!(events[2].path, "search");
+        // Every span streams one event when it ends, in completion order.
+        assert_eq!(events[0].path, "plan.verify");
+        assert_eq!(events[2].path, "plan.search");
     }
 
     #[test]

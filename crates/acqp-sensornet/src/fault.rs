@@ -285,8 +285,9 @@ impl FaultStats {
     /// Registers the service-loop flavor of the fault instruments
     /// (`serve.fault.*`), so a faulty serve run and a faulty simulate
     /// run in the same recorder never alias each other's counters. The
-    /// field shape is identical — [`attempt_packet`] and
-    /// [`FaultySource`] work against either flavor unchanged.
+    /// field shape is identical — [`attempt_packet`], [`FaultySource`]
+    /// and the serve engine's per-slot sensing charge work against
+    /// either flavor unchanged.
     pub fn serve(rec: &Recorder) -> Self {
         FaultStats {
             diss_attempts: rec.counter("serve.fault.diss.attempts"),
@@ -366,7 +367,6 @@ pub struct FaultySource<'f, S: TupleSource> {
     mote: u16,
     epoch: usize,
     aborted: bool,
-    aborted_attrs: u64,
 }
 
 impl<'f, S: TupleSource> FaultySource<'f, S> {
@@ -378,21 +378,12 @@ impl<'f, S: TupleSource> FaultySource<'f, S> {
         mote: u16,
         epoch: usize,
     ) -> Self {
-        FaultySource { inner, faults, stats, mote, epoch, aborted: false, aborted_attrs: 0 }
+        FaultySource { inner, faults, stats, mote, epoch, aborted: false }
     }
 
     /// True once any acquisition exhausted its retries.
     pub fn aborted(&self) -> bool {
         self.aborted
-    }
-
-    /// Bitmask of attribute ids whose acquisition aborted (bit `a` for
-    /// attribute `a`, ids ≥ 64 folded onto bit 63 — schemas are far
-    /// smaller). The multi-query service uses this to discard only the
-    /// tuples whose own chains touched a failed sensor, while queries
-    /// that never demanded it keep their epoch.
-    pub fn aborted_mask(&self) -> u64 {
-        self.aborted_attrs
     }
 }
 
@@ -409,7 +400,6 @@ impl<S: TupleSource> TupleSource for FaultySource<'_, S> {
             if attempt >= self.faults.max_attempts {
                 self.stats.sensing_aborts.incr(1);
                 self.aborted = true;
-                self.aborted_attrs |= 1u64 << (attr as u32).min(63);
                 return v;
             }
         }

@@ -84,97 +84,6 @@ pub fn execute_wire(
     }
 }
 
-/// Executes a **verified** wire plan for one tuple: the checked-free
-/// fast path, with the same `st` contract as [`execute_wire`]. The
-/// caller must hold an `acqp-verify` certificate for
-/// `(bytes, query, schema)` — structural and semantic validity are
-/// assumed, so the per-tuple predicate-index validation of
-/// [`execute_wire`] is hoisted out entirely. The function is still
-/// *total*: on unverified garbage it degrades to a reject verdict —
-/// never a panic, never an acquisition outside the schema — but its
-/// verdict on such bytes is otherwise unspecified.
-pub fn execute_wire_verified(
-    bytes: &[u8],
-    query: &Query,
-    schema: &Schema,
-    st: &mut TupleState,
-    src: &mut impl TupleSource,
-) -> bool {
-    let model = CostModel::PerAttribute;
-    st.reset(schema.len());
-    // Seq bodies are length-prefixed by a u8, so 256 slots always fit.
-    let mut order = [0usize; 256];
-    let mut pos = 0usize;
-    loop {
-        match bytes.get(pos).copied() {
-            Some(0x01) => return true,
-            Some(0x02) => {
-                let len = bytes.get(pos + 1).copied().unwrap_or(0) as usize;
-                let Some(body) = bytes.get(pos + 2..pos + 2 + len) else {
-                    return false;
-                };
-                for (slot, &pb) in order.iter_mut().zip(body) {
-                    let j = pb as usize;
-                    // Unreachable under a certificate; on garbage the
-                    // guard keeps the path total instead of letting
-                    // `query.pred(j)` panic downstream.
-                    if j >= query.len() {
-                        return false;
-                    }
-                    *slot = j;
-                }
-                return eval_seq_leaf(st, &order[..len], query, schema, &model, src, None);
-            }
-            Some(0x03) => {
-                let Some(&[a, c0, c1]) = bytes.get(pos + 1..pos + 4) else {
-                    return false;
-                };
-                let attr = a as usize;
-                if attr >= schema.len() {
-                    return false;
-                }
-                let cut = u16::from_le_bytes([c0, c1]);
-                let v = st.fetch(attr, schema, &model, src, None);
-                if v < cut {
-                    pos += 4;
-                } else {
-                    pos = skip_verified(bytes, pos + 4);
-                }
-            }
-            // 0x00, an out-of-grammar tag, or truncation: reject. Only
-            // 0x00 is reachable under a certificate.
-            _ => return false,
-        }
-    }
-}
-
-/// Offset just past the subtree at `pos`, assuming verified bytes.
-/// Iterative (like the checked version) and total: on garbage it runs
-/// off the end and returns `bytes.len()`, which the caller treats as a
-/// reject leaf.
-fn skip_verified(bytes: &[u8], mut pos: usize) -> usize {
-    let mut open = 1usize;
-    while open > 0 {
-        match bytes.get(pos).copied() {
-            Some(0x00) | Some(0x01) => {
-                pos += 1;
-                open -= 1;
-            }
-            Some(0x02) => {
-                let len = bytes.get(pos + 1).copied().unwrap_or(0) as usize;
-                pos += 2 + len;
-                open -= 1;
-            }
-            Some(0x03) => {
-                pos += 4;
-                open += 1;
-            }
-            _ => return bytes.len(),
-        }
-    }
-    pos
-}
-
 /// Returns the byte offset just past the subtree starting at `pos`.
 /// Iterative: a split defers one extra subtree instead of recursing, so
 /// adversarially deep split chains cannot overflow the call stack.
@@ -273,23 +182,6 @@ mod tests {
                 assert_eq!(tree.verdict, verdict, "row {row} plan {plan:?}");
                 assert_eq!(tree.cost, st.cost());
                 assert_eq!(tree.acquired, st.acquired());
-            }
-        }
-    }
-
-    #[test]
-    fn verified_path_matches_checked_path_on_every_row() {
-        let (schema, data, query) = setup();
-        let (mut checked, mut fast) = (TupleState::new(0), TupleState::new(0));
-        for plan in plans() {
-            let wire = plan.encode();
-            for row in 0..data.len() {
-                let mut src = RowSource::new(&data, row);
-                let c = execute_wire(&wire, &query, &schema, &mut checked, &mut src).unwrap();
-                let f = execute_wire_verified(&wire, &query, &schema, &mut fast, &mut src);
-                assert_eq!(c, f, "row {row} plan {plan:?}");
-                assert_eq!(checked.cost(), fast.cost());
-                assert_eq!(checked.acquired(), fast.acquired());
             }
         }
     }

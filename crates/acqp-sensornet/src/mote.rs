@@ -3,6 +3,7 @@
 use acqp_core::{AttrId, Dataset, Schema, TupleSource};
 
 use crate::energy::{EnergyLedger, EnergyModel};
+use crate::fault::{FaultModel, FaultStats};
 
 /// One sensor node. Its "physical world" is a pre-generated trace: row
 /// `e` of `trace` holds the values its sensors *would* read during epoch
@@ -57,35 +58,62 @@ impl Mote {
         self.trace.value(epoch, attr)
     }
 
-    /// The mote's full trace — the vectorized simulator executes it in
-    /// column batches instead of row-by-row sensor reads.
+    /// The mote's full trace — the batch executor and the serve
+    /// engine's row walk read it directly instead of through metered
+    /// sensor reads, and charge the resulting chains separately.
     pub(crate) fn trace(&self) -> &Dataset {
         &self.trace
     }
 
-    /// Charges one epoch's acquisitions in the given order, exactly as
-    /// a [`MeteredSource`] would have for the same acquisition sequence
-    /// (sensing per read, one board power-up per board per epoch). The
-    /// vectorized simulator replays each tuple's precomputed chain
-    /// through this, so ledgers stay bitwise-identical to the scalar
-    /// run's.
-    pub(crate) fn charge_epoch(
+    /// Charges one slot's merged acquisition chain at `epoch`, in
+    /// chain order, and returns the mask of attributes whose read
+    /// aborted (bit `a` for attribute `a`, ids ≥ 64 folded onto bit 63).
+    /// Each attempt at an attribute costs its sensing energy and powers
+    /// its board up at most once per slot; a read that fails
+    /// [`FaultModel::sensor_ok`] is retried up to the attempt cap, each
+    /// failure counted in `stats.sensing_failures`, and a read that
+    /// exhausts the cap counts one `stats.sensing_aborts`. These are the
+    /// exact `f64` additions of a [`FaultySource`] over this mote's
+    /// [`MeteredSource`] acquiring the same chain, so both execution
+    /// modes keep bitwise-equal ledgers; under a lossless model every
+    /// read succeeds on its first attempt.
+    ///
+    /// [`FaultySource`]: crate::fault::FaultySource
+    pub(crate) fn charge_slot(
         &mut self,
-        acquired: &[AttrId],
+        chain: &[AttrId],
+        epoch: usize,
         schema: &Schema,
         model: &EnergyModel,
-    ) {
+        faults: &FaultModel,
+        stats: &FaultStats,
+    ) -> u64 {
         let mut boards_on = 0u64;
-        for &attr in acquired {
-            self.ledger.sensing_uj += model.sense_uj(schema, attr);
-            if let Some(b) = model.board_of(attr) {
-                let bit = 1u64 << b;
-                if boards_on & bit == 0 {
-                    boards_on |= bit;
-                    self.ledger.board_uj += model.board_powerup_uj;
+        let mut aborted = 0u64;
+        for &attr in chain {
+            let mut attempt = 0u32;
+            loop {
+                self.ledger.sensing_uj += model.sense_uj(schema, attr);
+                if let Some(b) = model.board_of(attr) {
+                    let bit = 1u64 << b;
+                    if boards_on & bit == 0 {
+                        boards_on |= bit;
+                        self.ledger.board_uj += model.board_powerup_uj;
+                    }
+                }
+                if faults.sensor_ok(self.id, epoch, attr, attempt) {
+                    break;
+                }
+                stats.sensing_failures.incr(1);
+                attempt += 1;
+                if attempt >= faults.max_attempts {
+                    stats.sensing_aborts.incr(1);
+                    aborted |= 1u64 << (attr as u32).min(63);
+                    break;
                 }
             }
         }
+        aborted
     }
 
     /// Begins epoch `epoch`, returning a metered [`TupleSource`] that

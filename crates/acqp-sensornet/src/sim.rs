@@ -19,7 +19,7 @@
 //! wire interpreter one tuple at a time. `Vectorized` runs the batch
 //! executor over every mote's next [`BATCH_ROWS`] epochs at each window
 //! boundary and charges each slot's acquisition chain through
-//! `Mote::charge_epoch`, the exact `f64` additions a metered source
+//! `Mote::charge_slot`, the exact `f64` additions a metered source
 //! performs. Both feed the same per-slot accounting, so reports,
 //! ledgers, metrics and flight traces match to the bit.
 //!
@@ -679,7 +679,8 @@ impl Engine<'_> {
                 Some((prepared, slots)) => {
                     let s = slots[i];
                     let chain = prepared.chain(s.start, s.len);
-                    m.charge_epoch(chain, self.schema, self.model);
+                    // Vectorized runs are lossless, so no read aborts.
+                    m.charge_slot(chain, e, self.schema, self.model, self.faults, &self.stats);
                     (s.verdict, chain, false, s.truth)
                 }
                 None => {

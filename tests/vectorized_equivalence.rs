@@ -143,6 +143,33 @@ proptest! {
         }
     }
 
+    /// The one-row walk of a prepared plan — the serve engine's slot
+    /// kernel in scalar mode — returns the scalar executor's verdict,
+    /// cost bits and acquisition order on every row, for every plan
+    /// family and both cost models.
+    #[test]
+    fn row_walk_matches_scalar_bitwise(inst in instance_strategy()) {
+        let Instance { schema, data, query } = inst;
+        for plan in plans_for(&schema, &query, &data) {
+            for model in models_for(&schema) {
+                let prepared = PreparedPlan::new(&plan, &query, &schema, &model);
+                for row in 0..data.len() {
+                    let scalar =
+                        execute_model(&plan, &query, &schema, &model, &mut RowSource::new(&data, row));
+                    let walk = prepared.walk_row(&data, row);
+                    prop_assert_eq!(scalar.verdict, walk.verdict, "row {}: verdict", row);
+                    prop_assert_eq!(scalar.cost.to_bits(), walk.cost.to_bits(), "row {}: cost", row);
+                    prop_assert_eq!(
+                        scalar.acquired.as_slice(),
+                        prepared.chain(walk.chain.0, walk.chain.1),
+                        "row {}: chain",
+                        row
+                    );
+                }
+            }
+        }
+    }
+
     /// Measured reports are bitwise-identical across modes, and
     /// `ExecMode::Scalar` is bitwise-transparent against the seed
     /// measurement entry point.

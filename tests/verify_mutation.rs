@@ -5,12 +5,12 @@
 //! be either
 //!
 //! * **rejected** by `verify_wire` with a typed [`VerifyError`], in
-//!   which case both wire interpreters must still be panic-free on the
-//!   garbage (the checked one may error, the total one must return),
-//!   or
+//!   which case the checked wire interpreter must still be panic-free
+//!   on the garbage (it may error), or
 //! * **accepted**, in which case it must execute like a real plan:
-//!   `execute_wire` succeeds, agrees bitwise with the certificate-gated
-//!   fast path, and every row's cost stays inside the certified bound.
+//!   `execute_wire` succeeds, agrees with the row walk of the decoded
+//!   mutant's `PreparedPlan` on verdict, cost bits and acquisition
+//!   order, and every row's cost stays inside the certified bound.
 //!
 //! Across the corpus at least six distinct `VerifyError::class()`
 //! labels must be observed — the acceptance bar for "corruption classes
@@ -22,7 +22,7 @@
 use std::collections::BTreeSet;
 
 use acqp::core::prelude::*;
-use acqp::sensornet::interp::{execute_wire, execute_wire_verified};
+use acqp::sensornet::interp::execute_wire;
 use acqp::verify::{verify_wire, VerifyError};
 
 /// One corpus entry: a context and a wire image that verifies clean.
@@ -33,21 +33,20 @@ struct Entry {
     wire: Vec<u8>,
 }
 
-/// Row `r` of `data` through the checked wire interpreter and the
-/// total certificate-gated one, each on a fresh tuple state.
-fn interpret(
-    wire: &[u8],
-    e: &Entry,
-    data: &Dataset,
-    r: usize,
-) -> (acqp::core::Result<ExecOutcome>, ExecOutcome) {
+/// Row `r` of `data` through the checked wire interpreter on a fresh
+/// tuple state.
+fn interpret(wire: &[u8], e: &Entry, data: &Dataset, r: usize) -> acqp::core::Result<ExecOutcome> {
     let mut st = TupleState::new(e.schema.len());
-    let checked = execute_wire(wire, &e.query, &e.schema, &mut st, &mut RowSource::new(data, r))
-        .map(|verdict| st.into_outcome(verdict));
-    let mut st = TupleState::new(e.schema.len());
-    let verdict =
-        execute_wire_verified(wire, &e.query, &e.schema, &mut st, &mut RowSource::new(data, r));
-    (checked, st.into_outcome(verdict))
+    execute_wire(wire, &e.query, &e.schema, &mut st, &mut RowSource::new(data, r))
+        .map(|verdict| st.into_outcome(verdict))
+}
+
+/// Row `r` of `data` through the row walk of `walk`, a certified
+/// wire's prepared plan.
+fn walk_row(walk: &PreparedPlan, data: &Dataset, r: usize) -> ExecOutcome {
+    let row = walk.walk_row(data, r);
+    let acquired = walk.chain(row.chain.0, row.chain.1).to_vec();
+    ExecOutcome { verdict: row.verdict, cost: row.cost, acquired }
 }
 
 /// Planner-produced and handcrafted wires, all certified valid.
@@ -176,8 +175,7 @@ fn every_mutant_is_rejected_or_interpreter_identical() {
                     rejected += 1;
                     classes.insert(err.class());
                     // Rejection never licenses a panic downstream: the
-                    // checked interpreter may error, the total one must
-                    // return a reject-on-garbage outcome.
+                    // checked interpreter may error, never panic.
                     for r in 0..data.len() {
                         let _ = interpret(&m, e, &data, r);
                     }
@@ -188,18 +186,24 @@ fn every_mutant_is_rejected_or_interpreter_identical() {
                     // behave exactly like one.
                     accepted += 1;
                     let slack = 1e-9 * cert.bound.worst_case.abs().max(1.0);
+                    let plan = Plan::decode(&m).unwrap_or_else(|err| {
+                        panic!("{}: accepted mutant {m:?} does not decode: {err}", e.label)
+                    });
+                    let walk =
+                        PreparedPlan::new(&plan, &e.query, &e.schema, &CostModel::PerAttribute);
                     for r in 0..data.len() {
-                        let (checked, fast) = interpret(&m, e, &data, r);
-                        let checked = checked.unwrap_or_else(|err| {
+                        let checked = interpret(&m, e, &data, r).unwrap_or_else(|err| {
                             panic!("{}: accepted mutant {m:?} errored: {err}", e.label)
                         });
-                        assert_eq!(checked.verdict, fast.verdict, "{}: {m:?} row {r}", e.label);
+                        let walked = walk_row(&walk, &data, r);
+                        assert_eq!(checked.verdict, walked.verdict, "{}: {m:?} row {r}", e.label);
                         assert_eq!(
                             checked.cost.to_bits(),
-                            fast.cost.to_bits(),
+                            walked.cost.to_bits(),
                             "{}: {m:?} row {r}",
                             e.label
                         );
+                        assert_eq!(checked.acquired, walked.acquired, "{}: {m:?} row {r}", e.label);
                         assert!(
                             checked.cost >= cert.bound.best_case - slack
                                 && checked.cost <= cert.bound.worst_case + slack,

@@ -9,14 +9,16 @@
 //! 2. **Bound soundness** — no tuple's *actual* execution cost ever
 //!    escapes the certified `[best_case, worst_case]` interval, under
 //!    all three executors: the tree walker, the checked wire
-//!    interpreter, and the certificate-gated fast path.
+//!    interpreter, and the row walk of the decoded wire's
+//!    `PreparedPlan` that the serve engine runs.
 //! 3. **Executor agreement** — all three executors return the same
-//!    verdict and bitwise-identical cost for every row, so the
-//!    certified fast path (`execute_wire_verified`) is not buying its
-//!    speed with different arithmetic.
-//! 4. **State reuse is invisible** — both wire interpreters run every
-//!    row through one reused `TupleState`, as the engines do, and match
-//!    a fresh state per row on verdict, acquisition order and cost bits.
+//!    verdict, bitwise-identical cost and the same acquisition order
+//!    for every row, so the prepared form the engine executes is the
+//!    certified wire's plan.
+//! 4. **State reuse is invisible** — the wire interpreter runs every
+//!    row through one reused `TupleState`, as the engines do, and
+//!    matches a fresh state per row on verdict, acquisition order and
+//!    cost bits.
 
 // Bitwise f64 comparison is the point of the differential assertions.
 #![allow(clippy::float_cmp)]
@@ -24,7 +26,7 @@
 mod common;
 
 use acqp::core::prelude::*;
-use acqp::sensornet::interp::{execute_wire, execute_wire_verified};
+use acqp::sensornet::interp::execute_wire;
 use acqp::verify::{verify_wire, Certificate};
 use common::{instance_strategy, Instance};
 use proptest::prelude::*;
@@ -41,17 +43,22 @@ fn eps(cert: &Certificate) -> f64 {
     1e-9 * cert.bound.worst_case.abs().max(1.0)
 }
 
-/// Row `r` of `inst` through the checked wire interpreter and the
-/// certificate-gated one, each on a fresh tuple state.
-fn interpret(wire: &[u8], inst: &Instance, r: usize) -> (Result<ExecOutcome>, ExecOutcome) {
+/// Row `r` of `inst` through the checked wire interpreter on a fresh
+/// tuple state, and through the row walk of `walk`, the decoded wire's
+/// prepared plan.
+fn interpret(
+    wire: &[u8],
+    walk: &PreparedPlan,
+    inst: &Instance,
+    r: usize,
+) -> (Result<ExecOutcome>, ExecOutcome) {
     let (schema, query) = (&inst.schema, &inst.query);
     let mut st = TupleState::new(schema.len());
     let checked = execute_wire(wire, query, schema, &mut st, &mut RowSource::new(&inst.data, r))
         .map(|verdict| st.into_outcome(verdict));
-    let mut st = TupleState::new(schema.len());
-    let verdict =
-        execute_wire_verified(wire, query, schema, &mut st, &mut RowSource::new(&inst.data, r));
-    (checked, st.into_outcome(verdict))
+    let row = walk.walk_row(&inst.data, r);
+    let acquired = walk.chain(row.chain.0, row.chain.1).to_vec();
+    (checked, ExecOutcome { verdict: row.verdict, cost: row.cost, acquired })
 }
 
 /// One planner's report, verified and executed row-by-row against the
@@ -70,57 +77,43 @@ fn verify_and_execute(inst: &Instance, report: &PlanReport, label: &str) -> Cert
         panic!("{label}: claimed {} outside {:?}: {e}", report.expected_cost, cert.bound)
     });
     let slack = eps(&cert);
-    let (mut reused_checked, mut reused_fast) =
-        (TupleState::new(inst.schema.len()), TupleState::new(inst.schema.len()));
+    let decoded = Plan::decode(&wire).unwrap_or_else(|e| panic!("{label}: wire decodes: {e}"));
+    let walk = PreparedPlan::new(&decoded, &inst.query, &inst.schema, &CostModel::PerAttribute);
+    let mut reused = TupleState::new(inst.schema.len());
     for r in 0..inst.data.len() {
         let tree =
             execute(&report.plan, &inst.query, &inst.schema, &mut RowSource::new(&inst.data, r));
-        let (checked, fast) = interpret(&wire, inst, r);
+        let (checked, walked) = interpret(&wire, &walk, inst, r);
         let checked =
             checked.unwrap_or_else(|e| panic!("{label}: row {r}: honest wire errored: {e}"));
-        let reused_checked_verdict = execute_wire(
+        let reused_verdict = execute_wire(
             &wire,
             &inst.query,
             &inst.schema,
-            &mut reused_checked,
+            &mut reused,
             &mut RowSource::new(&inst.data, r),
         )
         .unwrap_or_else(|e| panic!("{label}: row {r}: honest wire errored: {e}"));
-        let reused_fast_verdict = execute_wire_verified(
-            &wire,
-            &inst.query,
-            &inst.schema,
-            &mut reused_fast,
-            &mut RowSource::new(&inst.data, r),
-        );
-        for (verdict, st, fresh, path) in [
-            (reused_checked_verdict, &reused_checked, &checked, "wire"),
-            (reused_fast_verdict, &reused_fast, &fast, "fast-path"),
-        ] {
-            assert_eq!(verdict, fresh.verdict, "{label}: row {r}: reused vs fresh {path} verdict");
-            assert_eq!(
-                st.acquired(),
-                fresh.acquired.as_slice(),
-                "{label}: row {r}: reused vs fresh {path} acquisition order"
-            );
-            assert_eq!(
-                st.cost().to_bits(),
-                fresh.cost.to_bits(),
-                "{label}: row {r}: reused vs fresh {path} cost"
-            );
-        }
-        assert_eq!(tree.verdict, checked.verdict, "{label}: row {r}: tree vs wire verdict");
-        assert_eq!(tree.verdict, fast.verdict, "{label}: row {r}: tree vs fast-path verdict");
+        assert_eq!(reused_verdict, checked.verdict, "{label}: row {r}: reused vs fresh verdict");
         assert_eq!(
-            tree.cost.to_bits(),
+            reused.acquired(),
+            checked.acquired.as_slice(),
+            "{label}: row {r}: reused vs fresh acquisition order"
+        );
+        assert_eq!(
+            reused.cost().to_bits(),
             checked.cost.to_bits(),
-            "{label}: row {r}: tree vs wire cost"
+            "{label}: row {r}: reused vs fresh cost"
         );
-        assert_eq!(
-            tree.cost.to_bits(),
-            fast.cost.to_bits(),
-            "{label}: row {r}: tree vs fast-path cost"
-        );
+        for (other, path) in [(&checked, "wire"), (&walked, "row walk")] {
+            assert_eq!(tree.verdict, other.verdict, "{label}: row {r}: tree vs {path} verdict");
+            assert_eq!(
+                tree.cost.to_bits(),
+                other.cost.to_bits(),
+                "{label}: row {r}: tree vs {path} cost"
+            );
+            assert_eq!(tree.acquired, other.acquired, "{label}: row {r}: tree vs {path} chain");
+        }
         assert!(
             tree.cost >= cert.bound.best_case - slack && tree.cost <= cert.bound.worst_case + slack,
             "{label}: row {r}: cost {} escapes certified bound {:?}",
