@@ -51,7 +51,6 @@ fn main() {
             &mut motes,
             &model,
             epochs,
-            ExecMode::Scalar,
             &Recorder::disabled(),
             &SimOptions::default(),
         )

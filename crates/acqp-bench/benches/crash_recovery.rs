@@ -117,18 +117,8 @@ fn run_point(rate: f64, mode: Mode) -> CrashReport {
     };
 
     let mut motes = fleet_from_trace(&live, MOTES);
-    let report = run_simulation(
-        &bs,
-        &query,
-        &planned,
-        &mut motes,
-        &model,
-        EPOCHS,
-        ExecMode::Scalar,
-        &rec,
-        &opts,
-    )
-    .expect("crashy simulation");
+    let report = run_simulation(&bs, &query, &planned, &mut motes, &model, EPOCHS, &rec, &opts)
+        .expect("crashy simulation");
     drop(rec.drain());
     if let Some(d) = dir {
         std::fs::remove_dir_all(&d).ok();

@@ -68,8 +68,7 @@ fn sweep_point(loss: f64) -> Point {
     let run = |adaptive: Option<AdaptiveConfig>| {
         let mut motes = fleet_from_trace(&live, MOTES);
         let opts = SimOptions { faults: faults.clone(), adaptive, ..SimOptions::default() };
-        let mode = ExecMode::Scalar;
-        run_simulation(&bs, &query, &planned, &mut motes, &model, EPOCHS, mode, &rec, &opts)
+        run_simulation(&bs, &query, &planned, &mut motes, &model, EPOCHS, &rec, &opts)
             .expect("simulation")
             .fault
     };

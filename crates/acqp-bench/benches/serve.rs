@@ -180,15 +180,7 @@ fn overlap_scenario(fields: &mut Vec<(String, f64)>) {
     )
     .expect("overlap service run");
     let independent = independent_schedule_energy(
-        &g.schema,
-        &train,
-        &live,
-        &schedule,
-        3,
-        &model,
-        epochs,
-        ExecMode::Scalar,
-        &serve_cfg,
+        &g.schema, &train, &live, &schedule, 3, &model, epochs, &serve_cfg,
     )
     .expect("independent baseline");
 

@@ -84,7 +84,6 @@ USAGE:
                 [--flight-recorder <file>] [--flight-jsonl <file>]
                 [--flight-timeline yes] [--flight-cap N]
   acqp simulate --dataset <kind> --query \"<expr>\" [--motes M] [--splits K]
-                [--exec scalar|vectorized]
                 [--fault-seed N] [--loss-rate F] [--sensing-fail F]
                 [--max-attempts N] [--dropout m:from:until[,...]]
                 [--replan-threshold F] [--replan-budget N] [--sample-every N]
@@ -99,8 +98,8 @@ USAGE:
                 | --dataset <kind> --schedule \"admit:window:<expr>[;...]\"
                 | --dataset <kind> --query \"<expr>\" --wire <file>
   acqp serve    --dataset <kind> --schedule \"admit:window:<expr>[;...]\"
-                [--motes M] [--splits K] [--exec scalar|vectorized]
-                [--baseline yes] [--deadline N] [--epoch-budget F]
+                [--motes M] [--splits K] [--baseline yes]
+                [--deadline N] [--epoch-budget F]
                 [--fault-seed N] [--loss-rate F] [--sensing-fail F]
                 [--max-attempts N] [--dropout m:from:until[,...]]
                 [--checkpoint-dir <dir>] [--checkpoint-every N]
@@ -120,12 +119,10 @@ USAGE:
   --explain-analyze yes  (plan) print the predicted-vs-actual cost table
                        with per-predicate regret attribution over the
                        held-out window
-  --exec vectorized    run trace replay and the lossless simulation
-                       through the columnar batch executor (results are
-                       bitwise-identical to scalar; simulate rejects it
-                       with fault, re-plan and crash flags). serve
-                       accepts it and runs the same slot kernel in
-                       either mode
+  --exec vectorized    (plan) run trace replay through the columnar
+                       batch executor (results are bitwise-identical to
+                       scalar). simulate and serve have one executor
+                       and take no --exec
 
   fault injection (simulate): --loss-rate / --sensing-fail are
   probabilities in [0, 1]; --fault-seed makes lossy runs reproducible;
@@ -244,7 +241,7 @@ fn known_flags(cmd: &str) -> &'static [&'static [&'static str]] {
             GENERATOR_FLAGS,
             OBS_FLAGS,
             FAULT_FLAGS,
-            &["query", "splits", "exec", "replan-threshold", "replan-budget", "sample-every"],
+            &["query", "splits", "replan-threshold", "replan-budget", "sample-every"],
         ],
         "serve" => &[
             SOURCE_FLAGS,
@@ -252,7 +249,7 @@ fn known_flags(cmd: &str) -> &'static [&'static [&'static str]] {
             OBS_FLAGS,
             FAULT_FLAGS,
             SERVE_INCOMPATIBLE,
-            &["schedule", "splits", "exec", "deadline", "epoch-budget", "baseline"],
+            &["schedule", "splits", "deadline", "epoch-budget", "baseline"],
         ],
         _ => &[],
     }
@@ -835,19 +832,6 @@ fn cmd_simulate(args: &Args) -> CliResult<()> {
         || !crash_epochs.is_empty()
         || crash_rate > 0.0
         || args.get("checkpoint-every").is_some();
-    let mode = exec_mode_from(args)?;
-    // `run_simulation` rejects these combinations too; checking here
-    // names the CLI flag and fails before any planning output.
-    if mode == ExecMode::Vectorized
-        && (crashy || replan_threshold.is_some() || !faults.is_lossless())
-    {
-        return Err(invalid(
-            "exec",
-            "vectorized",
-            "vectorized execution covers only the lossless simulation \
-             (drop the fault, re-plan and crash flags)",
-        ));
-    }
     let bs = Basestation::new(g.schema.clone(), &history);
     let model = EnergyModel::mica_like();
     let alpha = Basestation::alpha_for(&model, fleet as usize, live.len());
@@ -879,8 +863,7 @@ fn cmd_simulate(args: &Args) -> CliResult<()> {
         },
         topology: None,
     };
-    let crep =
-        run_simulation(&bs, &query, &planned, &mut motes, &model, live.len(), mode, &rec, &opts)?;
+    let crep = run_simulation(&bs, &query, &planned, &mut motes, &model, live.len(), &rec, &opts)?;
     let rep = &crep.fault;
     if !rep.sim.all_correct {
         return Err(CliError::Usage("internal error: simulation verdicts diverged".into()));
@@ -1003,7 +986,6 @@ fn cmd_serve(args: &Args) -> CliResult<()> {
         return Err(invalid("motes", "0", "the fleet needs at least one mote"));
     }
     let splits: usize = args.get_or("splits", 8)?;
-    let mode = exec_mode_from(args)?;
 
     // Robustness flags: faults and crashes exactly as `simulate` parses
     // them, plus the serve-only deadline and admission budget.
@@ -1128,7 +1110,7 @@ fn cmd_serve(args: &Args) -> CliResult<()> {
         fleet,
         &model,
         live.len(),
-        mode,
+        ExecMode::Scalar,
         cfg.clone(),
         &rec,
     )
@@ -1258,7 +1240,6 @@ fn cmd_serve(args: &Args) -> CliResult<()> {
             fleet,
             &model,
             live.len(),
-            mode,
             &cfg,
         )
         .map_err(|e| format!("baseline: {e}"))?;
@@ -1561,8 +1542,8 @@ mod tests {
     }
 
     #[test]
-    fn exec_flag_selects_the_vectorized_path() {
-        // Both commands accept --exec vectorized end to end.
+    fn exec_flag_is_plan_only() {
+        // Trace replay has two executors; --exec picks one.
         assert_eq!(
             run_vec(&[
                 "plan",
@@ -1579,26 +1560,25 @@ mod tests {
             ]),
             Ok(())
         );
-        assert_eq!(
-            run_vec(&[
-                "simulate",
-                "--dataset",
-                "garden5",
-                "--epochs",
-                "300",
-                "--query",
-                "temp0 BETWEEN 5 AND 25 AND hum0 <= 90",
-                "--motes",
-                "2",
-                "--splits",
-                "2",
-                "--exec",
-                "vectorized",
-                "--metrics",
-                "yes",
-            ]),
-            Ok(())
-        );
+        assert!(run_vec(&[
+            "plan",
+            "--dataset",
+            "synthetic",
+            "--rows",
+            "100",
+            "--query",
+            "x0 = 1",
+            "--exec",
+            "simd",
+        ])
+        .is_err());
+        // simulate and serve run one kernel, so they read no --exec.
+        let simulate = ["simulate", "--dataset", "garden5", "--query", "temp0 BETWEEN 5 AND 25"];
+        let serve = ["serve", "--dataset", "garden5", "--schedule", "0:40:temp0 BETWEEN 5 AND 25"];
+        for argv in [simulate, serve] {
+            let unknown = CliError::Usage(format!("unknown flag --exec for {}", argv[0]));
+            assert_eq!(run_vec(&[&argv[..], &["--exec", "vectorized"]].concat()), Err(unknown));
+        }
     }
 
     #[test]
@@ -1648,10 +1628,6 @@ mod tests {
         // Mid-run re-planning stays `simulate`-only.
         assert!(base(&["--replan-threshold", "0.3"]).is_err());
         assert!(base(&["--sample-every", "4"]).is_err());
-        // The vectorized service takes every fault, crash and policy flag.
-        assert_eq!(base(&["--exec", "vectorized", "--loss-rate", "0.2"]), Ok(()));
-        assert_eq!(base(&["--exec", "vectorized", "--crash-rate", "0.05"]), Ok(()));
-        assert_eq!(base(&["--exec", "vectorized", "--deadline", "8"]), Ok(()));
         // The independent baseline is meaningless under faults/crashes.
         assert!(base(&["--baseline", "yes", "--loss-rate", "0.2"]).is_err());
         assert!(base(&["--baseline", "yes", "--crash-epochs", "10"]).is_err());
@@ -1672,41 +1648,5 @@ mod tests {
         ])
         .is_err());
         assert!(run_vec(&["serve", "--dataset", "garden5", "--epochs", "200"]).is_err());
-    }
-
-    #[test]
-    fn exec_flag_rejects_bad_values_and_fault_combinations() {
-        let base = |extra: &[&str]| {
-            let mut v = vec![
-                "simulate",
-                "--dataset",
-                "garden5",
-                "--epochs",
-                "100",
-                "--query",
-                "temp0 BETWEEN 5 AND 25",
-                "--exec",
-                "vectorized",
-            ];
-            v.extend_from_slice(extra);
-            run_vec(&v)
-        };
-        assert!(run_vec(&[
-            "plan",
-            "--dataset",
-            "synthetic",
-            "--rows",
-            "100",
-            "--query",
-            "x0 = 1",
-            "--exec",
-            "simd",
-        ])
-        .is_err());
-        assert!(base(&["--loss-rate", "0.2"]).is_err());
-        assert!(base(&["--replan-threshold", "0.3"]).is_err());
-        assert!(base(&["--crash-rate", "0.05"]).is_err());
-        // Lossless vectorized stays fine even with explicit zero rates.
-        assert_eq!(base(&["--loss-rate", "0.0"]), Ok(()));
     }
 }

@@ -101,9 +101,7 @@ fn adaptive_run_prints_replan_summary() {
 }
 
 /// Every fault / re-plan / crash flag, with a value that activates it.
-/// `--exec vectorized` must reject each one; the scalar path accepts
-/// them all. Exhaustive on purpose: a new engine-forking flag added to
-/// `simulate` must either join this list or be vectorized-safe.
+/// `simulate` accepts them all; `serve` all but the re-plan family.
 const ENGINE_FORKING: &[(&str, &str)] = &[
     ("--loss-rate", "0.2"),
     ("--sensing-fail", "0.1"),
@@ -112,45 +110,22 @@ const ENGINE_FORKING: &[(&str, &str)] = &[
     ("--fault-seed", "7"),
     ("--replan-threshold", "0.3"),
     ("--checkpoint-every", "8"),
-    ("--checkpoint-dir", "/tmp/acqp_cli_vec_conflict_ckpt"),
+    ("--checkpoint-dir", "/tmp/acqp_cli_fault_flags_ckpt"),
     ("--crash-epochs", "20"),
     ("--crash-rate", "0.05"),
 ];
 
 #[test]
-fn vectorized_conflicts_with_every_engine_forking_flag() {
-    for (flag, value) in ENGINE_FORKING {
-        // --fault-seed and --max-attempts alone leave the fault model
-        // lossless, so they stay vectorized-safe; pair them with a
-        // loss rate to confirm the combination is still rejected.
-        let lossless_alone = matches!(*flag, "--fault-seed" | "--max-attempts");
-        let mut extra = vec!["--exec", "vectorized", *flag, *value];
-        if lossless_alone {
-            let accepted = sim_with(&extra);
-            assert!(
-                accepted.status.success(),
-                "{flag} without a loss rate must stay vectorized-safe:\n{}",
-                String::from_utf8_lossy(&accepted.stderr)
-            );
-            extra.extend_from_slice(&["--loss-rate", "0.2"]);
-        }
-        let out = sim_with(&extra);
-        assert_rejected(&out, "invalid value `vectorized` for --exec", flag);
-        assert_rejected(&out, "lossless simulation", flag);
-    }
-}
-
-#[test]
-fn scalar_accepts_each_engine_forking_flag() {
+fn simulate_accepts_each_engine_forking_flag() {
     for (flag, value) in ENGINE_FORKING {
         let out = sim_with(&[*flag, *value]);
         assert!(
             out.status.success(),
-            "{flag} {value} must run on the scalar engine:\n{}",
+            "{flag} {value} must run on the simulation engine:\n{}",
             String::from_utf8_lossy(&out.stderr)
         );
     }
-    std::fs::remove_dir_all("/tmp/acqp_cli_vec_conflict_ckpt").ok();
+    std::fs::remove_dir_all("/tmp/acqp_cli_fault_flags_ckpt").ok();
 }
 
 const SERVE: &[&str] = &[
@@ -195,7 +170,7 @@ fn serve_accepts_fault_and_crash_flags_but_rejects_replan_flags() {
         let out = serve_with(&[flag, value]);
         assert_rejected(&out, &format!("invalid value `{value}` for {flag}"), flag);
     }
-    std::fs::remove_dir_all("/tmp/acqp_cli_vec_conflict_ckpt").ok();
+    std::fs::remove_dir_all("/tmp/acqp_cli_fault_flags_ckpt").ok();
 }
 
 /// Combinations the robust service still cannot honor stay typed
@@ -215,19 +190,13 @@ fn serve_rejects_still_invalid_flag_combinations() {
 
 #[test]
 fn loss_zero_serve_output_is_bitwise_identical_to_default() {
-    for exec in [&["--exec", "scalar"][..], &["--exec", "vectorized"][..]] {
-        let mut base_args: Vec<&str> = exec.to_vec();
-        let base = serve_with(&base_args);
-        assert!(base.status.success(), "{}", String::from_utf8_lossy(&base.stderr));
-        base_args.extend_from_slice(&["--loss-rate", "0.0", "--crash-rate", "0.0"]);
-        base_args.extend_from_slice(&["--fault-seed", "123"]);
-        let zero = serve_with(&base_args);
-        assert!(zero.status.success(), "{}", String::from_utf8_lossy(&zero.stderr));
-        assert_eq!(
-            base.stdout, zero.stdout,
-            "loss-0/no-crash serve must match a flagless run byte for byte ({exec:?})"
-        );
-    }
+    let base = serve_with(&[]);
+    assert!(base.status.success(), "{}", String::from_utf8_lossy(&base.stderr));
+    let text = String::from_utf8_lossy(&base.stdout);
+    assert!(text.contains("serve : 2 of 2 queries admitted"), "{text}");
+    let zero = serve_with(&["--loss-rate", "0.0", "--crash-rate", "0.0", "--fault-seed", "123"]);
+    assert!(zero.status.success(), "{}", String::from_utf8_lossy(&zero.stderr));
+    assert_eq!(base.stdout, zero.stdout, "loss-0/no-crash serve must match a flagless run");
 }
 
 #[test]
@@ -264,20 +233,10 @@ fn serve_rejects_malformed_schedules_with_typed_errors() {
     assert!(!out.status.success(), "unknown attribute in a schedule must fail");
 }
 
-#[test]
-fn serve_runs_both_exec_modes_bitwise_identically() {
-    let scalar = serve_with(&[]);
-    assert!(scalar.status.success(), "{}", String::from_utf8_lossy(&scalar.stderr));
-    let vec = serve_with(&["--exec", "vectorized"]);
-    assert!(vec.status.success(), "{}", String::from_utf8_lossy(&vec.stderr));
-    assert_eq!(scalar.stdout, vec.stdout, "serve must not fork on the exec mode");
-    let text = String::from_utf8_lossy(&scalar.stdout);
-    assert!(text.contains("serve : 2 of 2 queries admitted"), "{text}");
-}
-
 /// A flag the subcommand never reads fails with exit 1 and names the
-/// flag instead of silently running with defaults: a removed option
-/// (`plan --threads`) and a misspelt one (`--loss-rte`) alike.
+/// flag instead of silently running with defaults: removed options
+/// (`plan --threads`, `simulate --exec`, `serve --exec`) and a misspelt
+/// one (`--loss-rte`) alike.
 #[test]
 fn flags_a_subcommand_never_reads_are_rejected() {
     let out = acqp(&[
@@ -299,4 +258,15 @@ fn flags_a_subcommand_never_reads_are_rejected() {
     assert_eq!(out.status.code(), Some(1), "misspelt simulate flag must exit 1");
     assert_rejected(&out, "unknown flag --loss-rte for simulate", "simulate --loss-rte");
     assert!(out.stdout.is_empty(), "rejected before any simulation output");
+
+    // simulate and serve run one slot kernel; only `plan` replays
+    // traces through two executors.
+    let out = sim_with(&["--exec", "vectorized"]);
+    assert_eq!(out.status.code(), Some(1), "simulate --exec must exit 1");
+    assert_rejected(&out, "unknown flag --exec for simulate", "simulate --exec");
+    assert!(out.stdout.is_empty(), "rejected before any simulation output");
+    let out = serve_with(&["--exec", "scalar"]);
+    assert_eq!(out.status.code(), Some(1), "serve --exec must exit 1");
+    assert_rejected(&out, "unknown flag --exec for serve", "serve --exec");
+    assert!(out.stdout.is_empty(), "rejected before any serve output");
 }

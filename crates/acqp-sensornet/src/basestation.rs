@@ -31,6 +31,24 @@ pub struct PlannedQuery {
     pub objective: f64,
 }
 
+impl PlannedQuery {
+    /// Checks that the plan tree encodes to exactly the disseminated
+    /// wire. The certificate covers the wire but motes run the tree's
+    /// prepared form, so a tree that differs is rejected with the
+    /// offset of the first differing byte.
+    pub(crate) fn check_tree_matches_wire(&self) -> Result<()> {
+        let encoded = self.plan.encode();
+        if encoded == self.wire {
+            return Ok(());
+        }
+        let offset = encoded.iter().zip(&self.wire).take_while(|(a, b)| a == b).count();
+        Err(Error::BadWireFormat {
+            offset,
+            what: "the plan tree does not encode to the disseminated wire",
+        })
+    }
+}
+
 /// Search budget for a drift-triggered re-plan. Re-planning happens
 /// *during* query execution, so it runs under the PR 1 planning budget
 /// (`max_subproblems`) rather than unbounded; a wall-clock budget is

@@ -17,7 +17,7 @@
 //! transmitter's [`crate::energy::EnergyLedger`], and counted under the
 //! `sensornet.fault.*` metric taxonomy.
 
-use acqp_core::{AttrId, TupleSource};
+use acqp_core::AttrId;
 use acqp_obs::{Counter, Recorder};
 
 /// Which logical packet stream (or sensor read) a fault roll is for.
@@ -285,9 +285,8 @@ impl FaultStats {
     /// Registers the service-loop flavor of the fault instruments
     /// (`serve.fault.*`), so a faulty serve run and a faulty simulate
     /// run in the same recorder never alias each other's counters. The
-    /// field shape is identical — [`attempt_packet`], [`FaultySource`]
-    /// and the serve engine's per-slot sensing charge work against
-    /// either flavor unchanged.
+    /// field shape is identical — [`attempt_packet`] and the per-slot
+    /// sensing charge work against either flavor unchanged.
     pub fn serve(rec: &Recorder) -> Self {
         FaultStats {
             diss_attempts: rec.counter("serve.fault.diss.attempts"),
@@ -353,57 +352,6 @@ pub fn attempt_packet(
     }
     timeout_c.incr(1);
     Delivery { attempts: faults.max_attempts, delivered: false, backoff_slots: slots }
-}
-
-/// A [`TupleSource`] adapter that injects sensing failures: each failed
-/// read is retried (re-charging sensing energy through the inner
-/// metered source — the sensor really did draw power) up to the attempt
-/// cap. If an attribute cannot be read at all, the source is marked
-/// *aborted* and the epoch's tuple must be discarded by the caller.
-pub struct FaultySource<'f, S: TupleSource> {
-    inner: S,
-    faults: &'f FaultModel,
-    stats: &'f FaultStats,
-    mote: u16,
-    epoch: usize,
-    aborted: bool,
-}
-
-impl<'f, S: TupleSource> FaultySource<'f, S> {
-    /// Wraps `inner` for one mote-epoch.
-    pub fn new(
-        inner: S,
-        faults: &'f FaultModel,
-        stats: &'f FaultStats,
-        mote: u16,
-        epoch: usize,
-    ) -> Self {
-        FaultySource { inner, faults, stats, mote, epoch, aborted: false }
-    }
-
-    /// True once any acquisition exhausted its retries.
-    pub fn aborted(&self) -> bool {
-        self.aborted
-    }
-}
-
-impl<S: TupleSource> TupleSource for FaultySource<'_, S> {
-    fn acquire(&mut self, attr: AttrId) -> u16 {
-        let mut attempt = 0u32;
-        loop {
-            let v = self.inner.acquire(attr);
-            if self.faults.sensor_ok(self.mote, self.epoch, attr, attempt) {
-                return v;
-            }
-            self.stats.sensing_failures.incr(1);
-            attempt += 1;
-            if attempt >= self.faults.max_attempts {
-                self.stats.sensing_aborts.incr(1);
-                self.aborted = true;
-                return v;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -493,31 +441,5 @@ mod tests {
         let stats = FaultStats::new(&rec);
         let d = attempt_packet(&f, FaultStream::Dissemination, 6, 3, &stats);
         assert_eq!(d, Delivery { attempts: 1, delivered: true, backoff_slots: 0 });
-    }
-
-    #[test]
-    fn faulty_source_retries_and_aborts() {
-        struct Fixed(u32);
-        impl TupleSource for Fixed {
-            fn acquire(&mut self, _: AttrId) -> u16 {
-                self.0 += 1;
-                7
-            }
-        }
-        let rec = Recorder::disabled();
-        let stats = FaultStats::new(&rec);
-        // Certain sensing failure: every read fails, cap 3.
-        let f = FaultModel::lossy(5, 0.0).with_sensing_failures(1.0).with_max_attempts(3);
-        let mut src = FaultySource::new(Fixed(0), &f, &stats, 0, 0);
-        assert_eq!(src.acquire(0), 7);
-        assert!(src.aborted());
-        assert_eq!(src.inner.0, 3, "each retry re-reads (and re-charges) the sensor");
-
-        // No sensing failures: transparent pass-through.
-        let f = FaultModel::lossy(5, 0.5);
-        let mut src = FaultySource::new(Fixed(0), &f, &stats, 0, 0);
-        assert_eq!(src.acquire(0), 7);
-        assert!(!src.aborted());
-        assert_eq!(src.inner.0, 1);
     }
 }

@@ -8,6 +8,12 @@
 //! and leaf evaluation are the shared scalar kernel of
 //! [`acqp_core::exec`], so the interpreter cannot drift from the tree
 //! executor (or from the vectorized path proven equal to it).
+//!
+//! The simulator and the serve engine run the prepared form of the plan
+//! tree ([`acqp_core::PreparedPlan`]), whose encoding must equal the
+//! certified wire. This interpreter is the checked reference the fuzz,
+//! mutation and round-trip tests and `benches/verify.rs` hold that
+//! prepared form to; no library code calls it.
 
 use acqp_core::costmodel::CostModel;
 use acqp_core::exec::{eval_seq_leaf, TupleState};

@@ -18,14 +18,16 @@
 //!   sensing failures (`sensornet.fault.*` taxonomy, `DESIGN.md` §9).
 //! * [`interp`] — a byte-code interpreter that executes the *wire
 //!   encoding* of a plan directly (no decoding, no heap) — what a mote
-//!   would run.
-//! * [`mote`] — a mote: a trace-fed tuple source with an energy ledger.
+//!   would run, and the checked reference the verifier tests hold the
+//!   prepared plans to.
+//! * [`mote`] — a mote: a per-epoch trace with an energy ledger and the
+//!   sensing charge for each epoch's acquisition chain.
 //! * [`basestation`] — plan construction, the α-penalized plan-size
 //!   choice, dissemination costing.
 //! * [`sim`] — the epoch loop tying it together: one
 //!   [`run_simulation`] whose [`SimOptions`] add faults, drift
-//!   re-planning, crashes or a multihop [`Topology`], in scalar or
-//!   vectorized execution, with a network-wide energy report.
+//!   re-planning, crashes or a multihop [`Topology`], every option set
+//!   run through batch windows, with a network-wide energy report.
 //! * [`topology`] — multihop collection trees, the radio model of a
 //!   multihop run.
 //! * [`recovery`] — crash-safe basestation: checkpoint/WAL journaling

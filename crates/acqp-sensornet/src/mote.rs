@@ -1,6 +1,6 @@
-//! A simulated mote: a trace-fed tuple source with energy accounting.
+//! A simulated mote: a per-epoch trace with energy accounting.
 
-use acqp_core::{AttrId, Dataset, Schema, TupleSource};
+use acqp_core::{AttrId, Dataset, Schema};
 
 use crate::energy::{EnergyLedger, EnergyModel};
 use crate::fault::{FaultModel, FaultStats};
@@ -59,8 +59,8 @@ impl Mote {
     }
 
     /// The mote's full trace — the batch executor and the serve
-    /// engine's row walk read it directly instead of through metered
-    /// sensor reads, and charge the resulting chains separately.
+    /// engine's row walk read it directly; the chains they produce are
+    /// charged through [`Mote::charge_slot`].
     pub(crate) fn trace(&self) -> &Dataset {
         &self.trace
     }
@@ -69,16 +69,13 @@ impl Mote {
     /// chain order, and returns the mask of attributes whose read
     /// aborted (bit `a` for attribute `a`, ids ≥ 64 folded onto bit 63).
     /// Each attempt at an attribute costs its sensing energy and powers
-    /// its board up at most once per slot; a read that fails
-    /// [`FaultModel::sensor_ok`] is retried up to the attempt cap, each
-    /// failure counted in `stats.sensing_failures`, and a read that
-    /// exhausts the cap counts one `stats.sensing_aborts`. These are the
-    /// exact `f64` additions of a [`FaultySource`] over this mote's
-    /// [`MeteredSource`] acquiring the same chain, so both execution
-    /// modes keep bitwise-equal ledgers; under a lossless model every
-    /// read succeeds on its first attempt.
-    ///
-    /// [`FaultySource`]: crate::fault::FaultySource
+    /// its board up at most once per call (§7: one power-up per epoch);
+    /// a read that fails [`FaultModel::sensor_ok`] is retried up to the
+    /// attempt cap, each failure counted in `stats.sensing_failures`,
+    /// and a read that exhausts the cap counts one
+    /// `stats.sensing_aborts`. An aborted read still returns the trace
+    /// value, so the rest of the chain is read and charged as usual.
+    /// Under a lossless model every read succeeds on its first attempt.
     pub(crate) fn charge_slot(
         &mut self,
         chain: &[AttrId],
@@ -88,9 +85,43 @@ impl Mote {
         faults: &FaultModel,
         stats: &FaultStats,
     ) -> u64 {
+        self.charge::<false>(chain.iter().copied(), epoch, schema, model, faults, stats)
+    }
+
+    /// Charges a statistics sample at `epoch`: every attribute of the
+    /// schema that `acquired` (the slot's chain) did not read, in id
+    /// order, through the same attempt loop as [`Mote::charge_slot`]
+    /// with its own board power-ups. Stops after the first read that
+    /// aborts and returns whether one did; the sample is then not sent.
+    pub(crate) fn charge_sample(
+        &mut self,
+        acquired: &[AttrId],
+        epoch: usize,
+        schema: &Schema,
+        model: &EnergyModel,
+        faults: &FaultModel,
+        stats: &FaultStats,
+    ) -> bool {
+        let rest = (0..schema.len()).filter(|a| !acquired.contains(a));
+        self.charge::<true>(rest, epoch, schema, model, faults, stats) != 0
+    }
+
+    /// The attempt loop behind [`Mote::charge_slot`] and
+    /// [`Mote::charge_sample`]. `STOP` ends the loop after the first
+    /// aborted attribute.
+    #[inline]
+    fn charge<const STOP: bool>(
+        &mut self,
+        attrs: impl Iterator<Item = AttrId>,
+        epoch: usize,
+        schema: &Schema,
+        model: &EnergyModel,
+        faults: &FaultModel,
+        stats: &FaultStats,
+    ) -> u64 {
         let mut boards_on = 0u64;
         let mut aborted = 0u64;
-        for &attr in chain {
+        for attr in attrs {
             let mut attempt = 0u32;
             loop {
                 self.ledger.sensing_uj += model.sense_uj(schema, attr);
@@ -112,53 +143,11 @@ impl Mote {
                     break;
                 }
             }
-        }
-        aborted
-    }
-
-    /// Begins epoch `epoch`, returning a metered [`TupleSource`] that
-    /// charges this mote's ledger for every acquisition.
-    pub fn epoch_source<'m>(
-        &'m mut self,
-        epoch: usize,
-        schema: &'m Schema,
-        model: &'m EnergyModel,
-    ) -> MeteredSource<'m> {
-        assert!(epoch < self.trace.len());
-        MeteredSource {
-            trace: &self.trace,
-            epoch,
-            schema,
-            model,
-            ledger: &mut self.ledger,
-            boards_on: 0,
-        }
-    }
-}
-
-/// A [`TupleSource`] that reads one trace row and charges sensing plus
-/// board power-up energy (§7 complex costs: first use of a board in an
-/// epoch powers it up).
-pub struct MeteredSource<'m> {
-    trace: &'m Dataset,
-    epoch: usize,
-    schema: &'m Schema,
-    model: &'m EnergyModel,
-    ledger: &'m mut EnergyLedger,
-    boards_on: u64,
-}
-
-impl TupleSource for MeteredSource<'_> {
-    fn acquire(&mut self, attr: AttrId) -> u16 {
-        self.ledger.sensing_uj += self.model.sense_uj(self.schema, attr);
-        if let Some(b) = self.model.board_of(attr) {
-            let bit = 1u64 << b;
-            if self.boards_on & bit == 0 {
-                self.boards_on |= bit;
-                self.ledger.board_uj += self.model.board_powerup_uj;
+            if STOP && aborted != 0 {
+                break;
             }
         }
-        self.trace.value(self.epoch, attr)
+        aborted
     }
 }
 
@@ -166,6 +155,8 @@ impl TupleSource for MeteredSource<'_> {
 mod tests {
     use super::*;
     use acqp_core::Attribute;
+    use acqp_obs::{NoopSink, Recorder};
+    use std::sync::Arc;
 
     fn setup() -> (Schema, Mote, EnergyModel) {
         let schema = Schema::new(vec![
@@ -179,25 +170,84 @@ mod tests {
         (schema.clone(), Mote::new(7, trace), model)
     }
 
+    /// Sensing failure counters on an enabled recorder.
+    fn stats() -> (Recorder, FaultStats) {
+        let rec = Recorder::new(Arc::new(NoopSink));
+        let stats = FaultStats::new(&rec);
+        (rec, stats)
+    }
+
     #[test]
-    fn metered_acquisition_charges_sensing_and_board_once() {
+    fn each_call_powers_a_board_up_once() {
         let (schema, mut mote, model) = setup();
-        {
-            let mut src = mote.epoch_source(0, &schema, &model);
-            assert_eq!(src.acquire(2), 3); // cheap, no board
-            assert_eq!(src.acquire(0), 1); // board powers up
-            assert_eq!(src.acquire(1), 2); // same board, no second powerup
-        }
+        let (_rec, stats) = stats();
+        let faults = FaultModel::none();
+        // Cheap attribute (no board), then two on the same board.
+        assert_eq!(mote.charge_slot(&[2, 0, 1], 0, &schema, &model, &faults, &stats), 0);
         let l = mote.ledger();
         assert_eq!(l.sensing_uj, 201.0);
         assert_eq!(l.board_uj, 500.0);
 
-        // A new epoch powers the board up again.
-        {
-            let mut src = mote.epoch_source(1, &schema, &model);
-            assert_eq!(src.acquire(0), 4);
-        }
+        // The next call (the next epoch) powers the board up again.
+        mote.charge_slot(&[0], 1, &schema, &model, &faults, &stats);
         assert_eq!(mote.ledger().board_uj, 1000.0);
+    }
+
+    #[test]
+    fn a_retry_charges_sensing_again_but_not_the_board() {
+        let (schema, mut mote, model) = setup();
+        let (rec, stats) = stats();
+        let faults = FaultModel::lossy(5, 0.0).with_sensing_failures(0.5).with_max_attempts(3);
+        // The first epoch whose first read of attribute 0 fails and
+        // whose second succeeds.
+        let e = (0..1000)
+            .find(|&e| !faults.sensor_ok(7, e, 0, 0) && faults.sensor_ok(7, e, 0, 1))
+            .unwrap();
+        assert_eq!(mote.charge_slot(&[0], e, &schema, &model, &faults, &stats), 0);
+        assert_eq!(mote.ledger().sensing_uj, 200.0);
+        assert_eq!(mote.ledger().board_uj, 500.0);
+        let snap = rec.drain();
+        assert_eq!(snap.counter("sensornet.fault.sensing.failures"), 1);
+        assert_eq!(snap.counter("sensornet.fault.sensing.aborts"), 0);
+    }
+
+    #[test]
+    fn an_abort_at_the_attempt_cap_sets_the_attribute_bit() {
+        let (schema, mut mote, model) = setup();
+        let (rec, stats) = stats();
+        // Every read fails; three attempts each.
+        let faults = FaultModel::lossy(5, 0.0).with_sensing_failures(1.0).with_max_attempts(3);
+        let mask = mote.charge_slot(&[2, 0], 0, &schema, &model, &faults, &stats);
+        assert_eq!(mask, 1 << 2 | 1 << 0);
+        // Both attributes are read to the cap: the chain goes on past an
+        // aborted read.
+        assert_eq!(mote.ledger().sensing_uj, 3.0 * 1.0 + 3.0 * 100.0);
+        assert_eq!(mote.ledger().board_uj, 500.0);
+        let snap = rec.drain();
+        assert_eq!(snap.counter("sensornet.fault.sensing.failures"), 6);
+        assert_eq!(snap.counter("sensornet.fault.sensing.aborts"), 2);
+    }
+
+    #[test]
+    fn a_sample_reads_the_rest_of_the_row_and_stops_at_an_abort() {
+        let (schema, mut mote, model) = setup();
+        let (rec, stats) = stats();
+        // Lossless: the sample reads attributes 0 and 2, which the slot
+        // did not, and powers the board up on its own.
+        let none = FaultModel::none();
+        mote.charge_slot(&[1], 0, &schema, &model, &none, &stats);
+        assert!(!mote.charge_sample(&[1], 0, &schema, &model, &none, &stats));
+        assert_eq!(mote.ledger().sensing_uj, 100.0 + 100.0 + 1.0);
+        assert_eq!(mote.ledger().board_uj, 1000.0);
+
+        // Every read fails: attribute 0 aborts after two attempts and
+        // attribute 2 is never charged.
+        let (schema, mut mote, model) = setup();
+        let faults = FaultModel::lossy(5, 0.0).with_sensing_failures(1.0).with_max_attempts(2);
+        assert!(mote.charge_sample(&[1], 0, &schema, &model, &faults, &stats));
+        assert_eq!(mote.ledger().sensing_uj, 200.0);
+        assert_eq!(mote.ledger().board_uj, 500.0);
+        assert_eq!(rec.drain().counter("sensornet.fault.sensing.aborts"), 1);
     }
 
     #[test]

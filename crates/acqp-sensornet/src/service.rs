@@ -467,14 +467,9 @@ impl VerifyMetrics {
                 return Err(err.into());
             }
         };
-        let encoded = plan.planned.plan.encode();
-        if encoded != *wire {
+        if let Err(err) = plan.planned.check_tree_matches_wire() {
             self.rejected.incr(1);
-            let offset = encoded.iter().zip(wire).take_while(|(a, b)| a == b).count();
-            return Err(Error::BadWireFormat {
-                offset,
-                what: "the plan tree does not encode to the disseminated wire",
-            });
+            return Err(err);
         }
         if cert.check_claim(plan.planned.expected_cost).is_err() {
             self.clamped.incr(1);
@@ -519,10 +514,9 @@ impl VerifyMetrics {
 /// from a one-row walk of its query's prepared plan
 /// ([`PreparedPlan::walk_row`]), the chains merge in first-demand
 /// order, and the mote is charged for the merged chain once. `mode` is
-/// accepted so callers can pass one [`ExecMode`] to both the simulator
-/// and the service; the service runs the same kernel in either mode,
-/// so every option set runs in both and the reports, ledgers and
-/// counters are bitwise equal.
+/// accepted for existing callers and ignored: the service runs the same
+/// kernel in either [`ExecMode`], so the reports, ledgers and counters
+/// are bitwise equal.
 ///
 /// Returns one [`QueryOutcome`] per schedule entry, in schedule order.
 #[allow(clippy::too_many_arguments)]
@@ -1614,43 +1608,41 @@ mod tests {
         let bs = Basestation::new(schema.clone(), &data);
         let model = EnergyModel::mica_like();
         let epochs = 64usize;
-        for mode in [ExecMode::Scalar, ExecMode::Vectorized] {
-            // Reference: the single-query engine.
-            let planned = bs.plan_query_sized(&query, 0.01, &[0, 1, 2, 4]).unwrap().1;
-            let mut ref_fleet = fleet_from_trace(&data, 3);
-            let sim = run_simulation(
-                &bs,
-                &query,
-                &planned,
-                &mut ref_fleet,
-                &model,
-                epochs,
-                mode,
-                &Recorder::disabled(),
-                &SimOptions::default(),
-            )
-            .unwrap()
-            .fault
-            .sim;
+        // Reference: the single-query engine.
+        let planned = bs.plan_query_sized(&query, 0.01, &[0, 1, 2, 4]).unwrap().1;
+        let mut ref_fleet = fleet_from_trace(&data, 3);
+        let sim = run_simulation(
+            &bs,
+            &query,
+            &planned,
+            &mut ref_fleet,
+            &model,
+            epochs,
+            &Recorder::disabled(),
+            &SimOptions::default(),
+        )
+        .unwrap()
+        .fault
+        .sim;
 
-            // The service with one scheduled query covering the run.
-            let schedule = [ScheduleEntry::new(query.clone(), 0, epochs)];
-            let rep = serve(&schema, &data, &schedule, 3, epochs, mode, &ServiceOptions::default());
+        // The service with one scheduled query covering the run.
+        let schedule = [ScheduleEntry::new(query.clone(), 0, epochs)];
+        let opts = ServiceOptions::default();
+        let rep = serve(&schema, &data, &schedule, 3, epochs, ExecMode::Scalar, &opts);
 
-            assert_eq!(rep.tuples(), sim.tuples);
-            assert_eq!(rep.results(), sim.results);
-            assert!(rep.all_correct() && sim.all_correct);
-            assert_eq!(rep.per_mote.len(), sim.per_mote.len());
-            for (a, b) in rep.per_mote.iter().zip(&sim.per_mote) {
-                assert_eq!(a.sensing_uj.to_bits(), b.sensing_uj.to_bits());
-                assert_eq!(a.board_uj.to_bits(), b.board_uj.to_bits());
-                assert_eq!(a.radio_tx_uj.to_bits(), b.radio_tx_uj.to_bits());
-                assert_eq!(a.radio_rx_uj.to_bits(), b.radio_rx_uj.to_bits());
-            }
-            assert_eq!(rep.network.total_uj().to_bits(), sim.network.total_uj().to_bits());
-            // With one query nothing can be shared.
-            assert_eq!(rep.performed_acquisitions, rep.demanded_acquisitions);
+        assert_eq!(rep.tuples(), sim.tuples);
+        assert_eq!(rep.results(), sim.results);
+        assert!(rep.all_correct() && sim.all_correct);
+        assert_eq!(rep.per_mote.len(), sim.per_mote.len());
+        for (a, b) in rep.per_mote.iter().zip(&sim.per_mote) {
+            assert_eq!(a.sensing_uj.to_bits(), b.sensing_uj.to_bits());
+            assert_eq!(a.board_uj.to_bits(), b.board_uj.to_bits());
+            assert_eq!(a.radio_tx_uj.to_bits(), b.radio_tx_uj.to_bits());
+            assert_eq!(a.radio_rx_uj.to_bits(), b.radio_rx_uj.to_bits());
         }
+        assert_eq!(rep.network.total_uj().to_bits(), sim.network.total_uj().to_bits());
+        // With one query nothing can be shared.
+        assert_eq!(rep.performed_acquisitions, rep.demanded_acquisitions);
     }
 
     #[test]
@@ -1681,7 +1673,6 @@ mod tests {
                 &mut f,
                 &model,
                 epochs,
-                ExecMode::Scalar,
                 &Recorder::disabled(),
                 &SimOptions::default(),
             )

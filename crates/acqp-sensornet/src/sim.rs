@@ -15,13 +15,18 @@
 //! * `topology` — a multihop collection tree as the radio model
 //!   ([`Topology`]).
 //!
-//! [`ExecMode`] picks how motes evaluate the plan. `Scalar` runs the
-//! wire interpreter one tuple at a time. `Vectorized` runs the batch
-//! executor over every mote's next [`BATCH_ROWS`] epochs at each window
-//! boundary and charges each slot's acquisition chain through
-//! `Mote::charge_slot`, the exact `f64` additions a metered source
-//! performs. Both feed the same per-slot accounting, so reports,
-//! ledgers, metrics and flight traces match to the bit.
+//! Motes evaluate plans in batch windows of [`BATCH_ROWS`] epochs: the
+//! batch executor runs the prepared plan of the version a mote holds
+//! over its next rows and records each tuple's verdict and acquisition
+//! chain, and each mote-epoch charges its chain through
+//! `Mote::charge_slot`, which retries failed sensor reads and reports
+//! aborted ones. That is sound under every option set because an
+//! aborted read still returns the trace value: a tuple's verdict and
+//! chain depend only on its plan and its trace row, and faults change
+//! only what the chain costs and which tuples survive. A mote whose plan
+//! version changes mid-window (an adopted re-plan reaching it, or a
+//! crash recovery re-disseminating an older version) has the rest of
+//! its window refilled with the new version's plan.
 //!
 //! Every option is a setting of the same loop, so the defaults are
 //! transparent by construction: at zero loss every packet lands on its
@@ -37,7 +42,7 @@ use acqp_core::drift::DriftMonitor;
 use acqp_core::prelude::{estimated_selectivities, CountingEstimator, Ranges};
 use acqp_core::{
     truth_columnar, BatchExecutor, BatchOutcome, ColumnBatch, CostModel, Dataset, DriftConfig,
-    Error, ExecMode, PreparedPlan, Query, Result, Schema, TupleSource, TupleState, BATCH_ROWS,
+    Error, Plan, PreparedPlan, Query, Result, Schema, BATCH_ROWS,
 };
 use acqp_obs::{Counter, FlightRecorder, Hist, Recorder, TraceValue};
 use acqp_persist::{BasestationCheckpoint, PlanRecord, WalRecord};
@@ -45,8 +50,7 @@ use acqp_stream::SlidingWindow;
 
 use crate::basestation::{Basestation, PlannedQuery, ReplanBudget};
 use crate::energy::{EnergyLedger, EnergyModel};
-use crate::fault::{attempt_packet, Delivery, FaultModel, FaultStats, FaultStream, FaultySource};
-use crate::interp::execute_wire;
+use crate::fault::{attempt_packet, Delivery, FaultModel, FaultStats, FaultStream};
 use crate::mote::Mote;
 use crate::recovery::{core_err, CrashConfig, CrashReport, CrashRuntime, Journal, RecoveredState};
 use crate::topology::Topology;
@@ -204,23 +208,14 @@ pub struct SimOptions {
 
 impl SimOptions {
     /// Rejects the option sets the engine has no semantics for: the
-    /// batch executor cannot lose packets, crash or re-plan, the tree
-    /// radio model has no loss or recovery semantics, and a topology must
-    /// place exactly the fleet's motes.
-    fn validate(&self, mode: ExecMode, motes: usize) -> Result<()> {
+    /// tree radio model has no loss or recovery semantics, and a
+    /// topology must place exactly the fleet's motes.
+    fn validate(&self, motes: usize) -> Result<()> {
         let reject = |flag: &str, value: String, why| {
             Err(Error::InvalidFlag { flag: flag.into(), value, why })
         };
         let perturbed =
             !self.faults.is_lossless() || self.crash.is_active() || self.adaptive.is_some();
-        if mode == ExecMode::Vectorized && perturbed {
-            return reject(
-                "exec",
-                "vectorized".into(),
-                "vectorized simulation covers only the lossless, crash-free run without \
-                 re-planning; use scalar execution",
-            );
-        }
         match &self.topology {
             Some(t) if t.len() != motes => reject(
                 "topology",
@@ -243,10 +238,10 @@ impl SimOptions {
 /// metrics (`DESIGN.md` §8).
 ///
 /// The plan is certified first: its wire must pass the certificate
-/// [`Basestation::plan_query`] applies, and its tree must encode to
-/// exactly that wire (scalar motes run the wire, the batch executor
-/// runs the tree). A crashed basestation recovers from its checkpoint
-/// directory and re-disseminates, the radio energy totalled in
+/// [`Basestation::plan_query`] applies, and its tree, which the batch
+/// executor runs, must encode to exactly that wire. A crashed
+/// basestation recovers from its checkpoint directory and
+/// re-disseminates, the radio energy totalled in
 /// [`CrashReport::recovery_rediss_uj`]; corrupt snapshots and a torn
 /// WAL are absorbed and counted. Errors: an uncertifiable or mismatched
 /// plan, an option set [`SimOptions`] cannot combine, a drift config
@@ -259,20 +254,12 @@ pub fn run_simulation(
     motes: &mut [Mote],
     model: &EnergyModel,
     epochs: usize,
-    mode: ExecMode,
     rec: &Recorder,
     opts: &SimOptions,
 ) -> Result<CrashReport> {
     bs.certify(query, planned)?;
-    let encoded = planned.plan.encode();
-    if encoded != planned.wire {
-        let offset = encoded.iter().zip(&planned.wire).take_while(|(a, b)| a == b).count();
-        return Err(Error::BadWireFormat {
-            offset,
-            what: "the plan tree does not encode to the disseminated wire",
-        });
-    }
-    opts.validate(mode, motes.len())?;
+    planned.check_tree_matches_wire()?;
+    opts.validate(motes.len())?;
     let adaptive = match &opts.adaptive {
         Some(cfg) => Some(AdaptiveState::new(bs, query, cfg, motes.len())?),
         None => None,
@@ -300,14 +287,16 @@ pub fn run_simulation(
         rec,
         adaptive,
         crash,
-        windows: (mode == ExecMode::Vectorized).then(|| Windows {
-            prepared: PreparedPlan::new(&planned.plan, query, schema, &CostModel::PerAttribute),
+        windows: Windows {
+            prepared: vec![prepare(&planned.plan, query, schema)],
             exec: BatchExecutor::new(),
             out: BatchOutcome::default(),
             truth: Vec::new(),
             slots: Vec::new(),
-        }),
-        tuple: TupleState::new(schema.len()),
+            held: Vec::new(),
+            from: 0,
+            end: 0,
+        },
         relay,
         tuples_c: rec.counter("sensornet.tuples"),
         results_c: rec.counter("sensornet.results"),
@@ -431,17 +420,23 @@ pub(crate) fn emit_retry(
     }
 }
 
-/// The vectorized strategy: the prepared plan, one batch executor, and
-/// the current window of at most [`BATCH_ROWS`] epochs for every mote,
-/// laid out epoch-major — mote `i`'s slot at epoch `e` sits at
-/// `(e % BATCH_ROWS) * motes + i` — so each epoch of the loop reads one
-/// contiguous run of slots.
+/// The batch window: one prepared plan per plan version (parallel to
+/// `Engine::plans`), one batch executor, and the current window of at
+/// most [`BATCH_ROWS`] epochs for every mote, laid out epoch-major —
+/// mote `i`'s slot at epoch `e` sits at `(e - from) * motes + i` — so
+/// each epoch of the loop reads one contiguous run of slots.
 struct Windows {
-    prepared: PreparedPlan,
+    prepared: Vec<PreparedPlan>,
     exec: BatchExecutor,
     out: BatchOutcome,
     truth: Vec<bool>,
     slots: Vec<Slot>,
+    /// `held[i]`: the plan version mote `i`'s slots were filled with;
+    /// `None` until the mote's first tuple in this window.
+    held: Vec<Option<usize>>,
+    /// The window's epochs, `from..end`.
+    from: usize,
+    end: usize,
 }
 
 /// One mote-epoch of a window: the batch executor's verdict and
@@ -456,25 +451,38 @@ struct Slot {
 }
 
 impl Windows {
-    /// Replaces the window with epochs `from..end`, each mote's clipped
-    /// to its trace.
-    fn refill(&mut self, query: &Query, motes: &[Mote], from: usize, end: usize) {
-        let n = motes.len();
-        self.slots.resize((end - from) * n, Slot::default());
-        for (i, m) in motes.iter().enumerate() {
-            let rows = end.min(m.epochs()).saturating_sub(from);
-            if rows == 0 {
-                continue;
-            }
-            let batch = ColumnBatch::slice(m.trace(), from, rows);
-            self.exec.execute_batch(&self.prepared, &batch, None, &mut self.out);
-            truth_columnar(query, &batch, &mut self.truth);
-            for (s, &truth) in self.truth.iter().enumerate() {
-                let (start, len) = self.out.chain_span(s);
-                self.slots[s * n + i] = Slot { verdict: self.out.verdict(s), truth, start, len };
-            }
+    /// Opens the window of epochs `from..end` for `motes` motes; each
+    /// mote's slots are filled at its first tuple.
+    fn open(&mut self, motes: usize, from: usize, end: usize) {
+        self.slots.resize((end - from) * motes, Slot::default());
+        self.held.clear();
+        self.held.resize(motes, None);
+        (self.from, self.end) = (from, end);
+    }
+
+    /// Fills mote `i`'s slots from epoch `e` to the window's end,
+    /// clipped to its trace, with plan version `ver`. Out of line: it
+    /// runs about once per mote per window, so it stays out of the
+    /// per-epoch loop's body.
+    #[inline(never)]
+    fn fill(&mut self, query: &Query, m: &Mote, i: usize, n: usize, ver: usize, e: usize) {
+        self.held[i] = Some(ver);
+        let rows = self.end.min(m.epochs()).saturating_sub(e);
+        let batch = ColumnBatch::slice(m.trace(), e, rows);
+        self.exec.execute_batch(&self.prepared[ver], &batch, None, &mut self.out);
+        truth_columnar(query, &batch, &mut self.truth);
+        let base = e - self.from;
+        for (s, &truth) in self.truth.iter().enumerate() {
+            let (start, len) = self.out.chain_span(s);
+            self.slots[(base + s) * n + i] =
+                Slot { verdict: self.out.verdict(s), truth, start, len };
         }
     }
+}
+
+/// The batch executor's form of `plan`.
+fn prepare(plan: &Plan, query: &Query, schema: &Schema) -> PreparedPlan {
+    PreparedPlan::new(plan, query, schema, &CostModel::PerAttribute)
 }
 
 /// The multihop radio model: the collection tree and the radio ledgers
@@ -507,10 +515,7 @@ struct Engine<'a> {
     rec: &'a Recorder,
     adaptive: Option<AdaptiveState<'a>>,
     crash: CrashRuntime<'a>,
-    /// Vectorized runs only.
-    windows: Option<Windows>,
-    /// The scalar interpreter's tuple state, reused across tuples.
-    tuple: TupleState,
+    windows: Windows,
     /// The collection tree (multihop runs only).
     relay: Option<Relay<'a>>,
 
@@ -598,10 +603,10 @@ impl Engine<'_> {
             } else if e > 0 {
                 self.disseminate(e);
             }
-            if let Some(w) = self.windows.as_mut().filter(|_| e % BATCH_ROWS == 0) {
-                w.refill(self.query, self.motes, e, epochs.min(e + BATCH_ROWS));
+            if e % BATCH_ROWS == 0 {
+                self.windows.open(self.motes.len(), e, epochs.min(e + BATCH_ROWS));
             }
-            self.run_motes(e)?;
+            self.run_motes(e);
             self.drift_check(e)?;
             self.journal_epoch_end(e);
             self.epoch_tick(e);
@@ -650,13 +655,13 @@ impl Engine<'_> {
         }
     }
 
-    /// One epoch of plan execution and uplinks across the fleet.
-    fn run_motes(&mut self, e: usize) -> Result<()> {
+    /// One epoch of plan execution and uplinks across the fleet. A mote
+    /// whose slots were filled with another plan version than the one it
+    /// now holds has the rest of its window refilled first.
+    fn run_motes(&mut self, e: usize) {
         let n = self.motes.len();
-        let window = self.windows.as_ref().map(|w| {
-            let base = (e % BATCH_ROWS) * n;
-            (&w.prepared, &w.slots[base..base + n])
-        });
+        let w = &mut self.windows;
+        let base = (e - w.from) * n;
         let flight = self.flight.clone();
         let root = self.start_seq;
         for (i, m) in self.motes.iter_mut().enumerate() {
@@ -673,34 +678,22 @@ impl Engine<'_> {
                 self.rep.undisseminated_epochs += 1;
                 continue;
             };
+            if w.held[i] != Some(ver) {
+                w.fill(self.query, m, i, n, ver, e);
+            }
             self.rep.sim.tuples += 1;
             self.ep_tuples += 1;
-            let (verdict, acquired, aborted, truth) = match window {
-                Some((prepared, slots)) => {
-                    let s = slots[i];
-                    let chain = prepared.chain(s.start, s.len);
-                    // Vectorized runs are lossless, so no read aborts.
-                    m.charge_slot(chain, e, self.schema, self.model, self.faults, &self.stats);
-                    (s.verdict, chain, false, s.truth)
-                }
-                None => {
-                    let src = m.epoch_source(e, self.schema, self.model);
-                    let mut fsrc = FaultySource::new(src, self.faults, &self.stats, id, e);
-                    let wire = &self.plans[ver].wire;
-                    let verdict =
-                        execute_wire(wire, self.query, self.schema, &mut self.tuple, &mut fsrc)?;
-                    let aborted = fsrc.aborted();
-                    let truth = !aborted && self.query.eval_with(|a| m.peek(e, a));
-                    (verdict, self.tuple.acquired(), aborted, truth)
-                }
-            };
+            let s = w.slots[base + i];
+            let acquired = w.prepared[ver].chain(s.start, s.len);
+            let aborted =
+                m.charge_slot(acquired, e, self.schema, self.model, self.faults, &self.stats) != 0;
             self.acq_hist.observe(acquired.len() as u64);
             self.ep_acq += acquired.len() as u64;
             if aborted {
                 self.rep.aborted_tuples += 1;
                 continue;
             }
-            self.rep.sim.all_correct &= verdict == truth;
+            self.rep.sim.all_correct &= s.verdict == s.truth;
 
             // Every acquired attribute with a predicate yields one
             // evaluated/held observation for the drift monitor,
@@ -714,7 +707,7 @@ impl Engine<'_> {
                 }
             }
 
-            if verdict {
+            if s.verdict {
                 self.rep.sim.results += 1;
                 self.ep_results += 1;
                 let d = attempt_packet(self.faults, FaultStream::Result, id, e, &self.stats);
@@ -736,26 +729,13 @@ impl Engine<'_> {
             }
 
             // Periodic statistics sample: read out the rest of the
-            // tuple (sensing honestly charged via the same source
-            // rules) and upload the full row for the re-plan window.
+            // tuple (sensing charged by the same attempt loop) and
+            // upload the full row for the re-plan window.
             if let Some(st) = self.adaptive.as_mut() {
                 let k = st.cfg.sample_every.max(1);
                 if e % k == k - 1 {
-                    let mut sample_aborted = false;
-                    {
-                        let src = m.epoch_source(e, self.schema, self.model);
-                        let mut fsrc = FaultySource::new(src, self.faults, &self.stats, id, e);
-                        for a in 0..self.schema.len() {
-                            if !acquired.contains(&a) {
-                                fsrc.acquire(a);
-                                if fsrc.aborted() {
-                                    sample_aborted = true;
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    if !sample_aborted {
+                    let (schema, model) = (self.schema, self.model);
+                    if !m.charge_sample(acquired, e, schema, model, self.faults, &self.stats) {
                         let d =
                             attempt_packet(self.faults, FaultStream::Sample, id, e, &self.stats);
                         emit_retry(&flight, root, e, "sample", id, &d);
@@ -779,7 +759,6 @@ impl Engine<'_> {
         if let Some(r) = &self.relay {
             r.sync(self.motes);
         }
-        Ok(())
     }
 
     /// Basestation drift check at epoch end.
@@ -829,6 +808,7 @@ impl Engine<'_> {
         st.monitor.reset(outcome.est_selectivities.clone());
         if outcome.adopted {
             self.replan_adopt_c.incr(1);
+            self.windows.prepared.push(prepare(&outcome.planned.plan, self.query, self.schema));
             self.plans.push(outcome.planned);
             self.cur = self.plans.len() - 1;
             // Every mote now lags; re-dissemination starts at the top
@@ -1122,7 +1102,7 @@ mod tests {
     use super::*;
     use crate::basestation::{Basestation, PlannerChoice};
     use acqp_core::{Attribute, Pred};
-    use acqp_obs::NoopSink;
+    use acqp_obs::{FlightRecorder, NoopSink};
     use std::sync::Arc;
 
     fn setup() -> (Schema, Dataset, Query) {
@@ -1148,7 +1128,7 @@ mod tests {
             .collect()
     }
 
-    /// A scalar run with a disabled recorder under `opts`.
+    /// A run with a disabled recorder under `opts`.
     fn sim(
         bs: &Basestation<'_>,
         query: &Query,
@@ -1159,9 +1139,7 @@ mod tests {
         opts: &SimOptions,
     ) -> FaultReport {
         let rec = Recorder::disabled();
-        run_simulation(bs, query, planned, motes, model, epochs, ExecMode::Scalar, &rec, opts)
-            .unwrap()
-            .fault
+        run_simulation(bs, query, planned, motes, model, epochs, &rec, opts).unwrap().fault
     }
 
     fn lossy(faults: FaultModel) -> SimOptions {
@@ -1205,7 +1183,6 @@ mod tests {
             &mut motes,
             &EnergyModel::mica_like(),
             live.len(),
-            ExecMode::Scalar,
             &rec,
             &SimOptions::default(),
         )
@@ -1368,71 +1345,540 @@ mod tests {
         }
     }
 
-    #[test]
-    fn vectorized_sim_is_bitwise_identical_to_scalar() {
-        use acqp_obs::FlightRecorder;
+    /// FNV-1a over `bytes`: a stable digest for pinned golden values.
+    fn fnv(bytes: &[u8]) -> u64 {
+        bytes
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    }
 
-        let (schema, data, query) = setup();
-        let (train, live) = data.split_at(0.5);
-        let bs = Basestation::new(schema.clone(), &train);
+    /// Everything a golden case pins about one run.
+    #[derive(Debug, PartialEq)]
+    struct Golden {
+        tuples: usize,
+        results: usize,
+        delivered: usize,
+        lost: usize,
+        aborted: usize,
+        offline: usize,
+        undisseminated: usize,
+        samples: usize,
+        replans: usize,
+        adopted: usize,
+        crashes: usize,
+        cold_starts: usize,
+        wal_replayed: usize,
+        checkpoints: usize,
+        /// `f64` bits of the basestation's transmit energy.
+        bs_tx_uj: u64,
+        /// `f64` bits of the recovery re-dissemination energy.
+        rediss_uj: u64,
+        /// Per-mote `[sensing, board, radio tx, radio rx]` `f64` bits.
+        ledgers: Vec<[u64; 4]>,
+        /// Digest of the drained counters, histograms, gauges and span
+        /// counts.
+        metrics: u64,
+        /// Digest of the flight recorder's Chrome JSON and epoch JSONL.
+        flight: u64,
+    }
+
+    /// Trace rows, one `Vec` per epoch.
+    type Rows = Vec<Vec<u16>>;
+
+    /// Rows where the predicate on `a` passes 90% of tuples and the one
+    /// on `b` one in seven; from row `flip` on the two swap roles, which
+    /// makes an adaptive run re-plan.
+    fn regime(n: u16, flip: u16) -> Rows {
+        (0..n)
+            .map(|i| {
+                let (a, b) = (i % 10 != 0, i % 7 == 0);
+                let (a, b) = if i < flip { (a, b) } else { (!a, !b) };
+                vec![u16::from(a), u16::from(b), i % 2]
+            })
+            .collect()
+    }
+
+    /// The inputs of golden case `name`: planning history, one trace per
+    /// mote and the options. `dir` is the case's checkpoint directory.
+    fn golden_inputs(name: &str, dir: &std::path::Path) -> (Rows, Vec<Rows>, SimOptions) {
+        let adaptive = || {
+            Some(AdaptiveConfig {
+                drift: DriftConfig { threshold: 0.2, min_samples: 16 },
+                check_every: 4,
+                sample_every: 2,
+                window: 64,
+                min_window: 8,
+                ..AdaptiveConfig::default()
+            })
+        };
+        let crash =
+            |dir: Option<&std::path::Path>, crash_epochs: Vec<usize>, crash_rate| CrashConfig {
+                checkpoint_dir: dir.map(|d| d.to_path_buf()),
+                checkpoint_every: if dir.is_some() { 50 } else { 0 },
+                crash_epochs,
+                crash_rate,
+            };
+        let long = 2 * BATCH_ROWS as u16 + 300;
+        match name {
+            // Three motes over two full windows; mote 2's trace ends
+            // inside the second window, so its slots run short, then out.
+            "lossless_star" => (
+                rows(200),
+                vec![rows(long), rows(long), rows(BATCH_ROWS as u16 + 100)],
+                SimOptions::default(),
+            ),
+            "multihop" => (
+                rows(200),
+                vec![rows(1100); 4],
+                SimOptions { topology: Some(Topology::balanced(4, 2)), ..SimOptions::default() },
+            ),
+            // The dropout straddles the first window boundary.
+            "loss_sensing_dropout" => (
+                rows(200),
+                vec![rows(1300); 3],
+                lossy(
+                    FaultModel::lossy(17, 0.25)
+                        .with_sensing_failures(0.1)
+                        .with_max_attempts(2)
+                        .with_dropout(1, 1000, 1100),
+                ),
+            ),
+            // Two attempts per packet and a bad link to mote 1: adopted
+            // plans reach the motes at different epochs.
+            "adaptive_under_loss" => (
+                regime(200, u16::MAX),
+                vec![regime(1200, 100); 3],
+                SimOptions {
+                    faults: FaultModel::lossy(13, 0.3)
+                        .with_link_loss(1, 0.85)
+                        .with_sensing_failures(0.05)
+                        .with_max_attempts(2),
+                    adaptive: adaptive(),
+                    ..SimOptions::default()
+                },
+            ),
+            "crash_checkpoint_wal" => (
+                rows(200),
+                vec![rows(1200); 3],
+                SimOptions {
+                    faults: FaultModel::lossy(21, 0.1),
+                    crash: crash(Some(dir), vec![100, 1030], 0.0),
+                    ..SimOptions::default()
+                },
+            ),
+            // No persistence: each crash cold-starts to the genesis plan
+            // and re-disseminates it over the adopted one.
+            "cold_start" => (
+                regime(200, u16::MAX),
+                vec![regime(1200, 100); 3],
+                SimOptions {
+                    faults: FaultModel::lossy(9, 0.1),
+                    adaptive: adaptive(),
+                    crash: crash(None, vec![300, 1050], 0.0),
+                    ..SimOptions::default()
+                },
+            ),
+            "combined" => (
+                regime(200, u16::MAX),
+                vec![regime(1200, 100); 3],
+                SimOptions {
+                    faults: FaultModel::lossy(31, 0.2)
+                        .with_link_loss(0, 0.8)
+                        .with_sensing_failures(0.1)
+                        .with_max_attempts(2)
+                        .with_dropout(2, 500, 560),
+                    adaptive: adaptive(),
+                    crash: crash(Some(dir), vec![100, 700, 1030], 0.002),
+                    topology: None,
+                },
+            ),
+            _ => unreachable!("unknown golden case {name}"),
+        }
+    }
+
+    /// Runs golden case `name` with a board model and a flight recorder.
+    fn golden_run(name: &str) -> Golden {
+        let (schema, _, query) = setup();
+        let dir =
+            std::env::temp_dir().join(format!("acqp_sim_golden_{name}_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let (history, traces, opts) = golden_inputs(name, &dir);
+        let history = Dataset::from_rows(&schema, history).unwrap();
+        let bs = Basestation::new(schema.clone(), &history);
         let planned = bs.plan_query(&query, PlannerChoice::Heuristic(4), 0.0).unwrap();
         let model = EnergyModel::mica_like().with_board(vec![0, 1], 500.0);
+        let epochs = traces.iter().map(Vec::len).max().unwrap_or(0);
+        let mut motes: Vec<Mote> = traces
+            .into_iter()
+            .enumerate()
+            .map(|(i, t)| Mote::new(i as u16, Dataset::from_rows(&schema, t).unwrap()))
+            .collect();
+        let rec = Recorder::new(Arc::new(NoopSink)).with_flight(FlightRecorder::new(1 << 16));
+        let rep =
+            run_simulation(&bs, &query, &planned, &mut motes, &model, epochs, &rec, &opts).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(rep.fault.sim.all_correct, "{name}: a verdict disagreed with ground truth");
+        let snap = rec.drain();
+        let mut metrics = String::new();
+        for (k, v) in &snap.counters {
+            metrics += &format!("{k}={v}\n");
+        }
+        for (k, (buckets, count, sum)) in &snap.hists {
+            metrics += &format!("{k}={buckets:?}/{count}/{sum}\n");
+        }
+        for (k, v) in &snap.values {
+            metrics += &format!("{k}={:#x}\n", v.to_bits());
+        }
+        for (k, v) in &snap.spans {
+            metrics += &format!("{k}={}\n", v.count);
+        }
+        let flight = rec.flight().to_chrome_json() + &rec.flight().to_epoch_jsonl();
+        let f = &rep.fault;
+        Golden {
+            tuples: f.sim.tuples,
+            results: f.sim.results,
+            delivered: f.delivered_results,
+            lost: f.lost_results,
+            aborted: f.aborted_tuples,
+            offline: f.offline_epochs,
+            undisseminated: f.undisseminated_epochs,
+            samples: f.samples_delivered,
+            replans: f.replans.len(),
+            adopted: f.replans.iter().filter(|r| r.adopted).count(),
+            crashes: rep.crashes,
+            cold_starts: rep.cold_starts,
+            wal_replayed: rep.wal_replayed,
+            checkpoints: rep.checkpoints_written,
+            bs_tx_uj: f.bs_tx_uj.to_bits(),
+            rediss_uj: rep.recovery_rediss_uj.to_bits(),
+            ledgers: f
+                .sim
+                .per_mote
+                .iter()
+                .map(|l| [l.sensing_uj, l.board_uj, l.radio_tx_uj, l.radio_rx_uj].map(f64::to_bits))
+                .collect(),
+            metrics: fnv(metrics.as_bytes()),
+            flight: fnv(flight.as_bytes()),
+        }
+    }
 
-        // Input 1: three motes over one short window. Input 2: more than
-        // two full batch windows, with mote 2's trace ending inside the
-        // second one so its window runs short and then empty.
-        let long = Dataset::from_rows(&schema, rows(2 * BATCH_ROWS as u16 + 300)).unwrap();
-        let short = Dataset::from_rows(&schema, rows(BATCH_ROWS as u16 + 100)).unwrap();
-        let inputs: [(Vec<&Dataset>, usize); 2] =
-            [(vec![&live; 3], live.len()), (vec![&long, &long, &short], long.len())];
-        for (traces, epochs) in inputs {
-            let run = |mode: ExecMode| {
-                let mut motes: Vec<Mote> = traces
-                    .iter()
-                    .enumerate()
-                    .map(|(i, t)| Mote::new(i as u16, (*t).clone()))
-                    .collect();
-                let rec = Recorder::new(Arc::new(NoopSink))
-                    .with_flight(FlightRecorder::new(2 * epochs + 64));
-                let rep = run_simulation(
-                    &bs,
-                    &query,
-                    &planned,
-                    &mut motes,
-                    &model,
-                    epochs,
-                    mode,
-                    &rec,
-                    &SimOptions::default(),
-                )
-                .unwrap()
-                .fault
-                .sim;
-                let flight = (rec.flight().to_chrome_json(), rec.flight().to_epoch_jsonl());
-                (rep, rec.drain(), flight)
-            };
-            let (base, base_snap, base_flight) = run(ExecMode::Scalar);
-            let (vec_rep, vec_snap, vec_flight) = run(ExecMode::Vectorized);
-
-            assert!(base.tuples > 0 && base.all_correct);
-            assert_eq!(vec_rep.tuples, base.tuples);
-            assert_eq!(vec_rep.results, base.results);
-            assert_eq!(vec_rep.all_correct, base.all_correct);
-            assert_eq!(vec_rep.per_mote, base.per_mote, "ledgers must match to the bit");
-            assert_eq!(vec_rep.sensing_uj_per_tuple.to_bits(), base.sensing_uj_per_tuple.to_bits());
-
-            assert_eq!(vec_snap.counters, base_snap.counters);
-            assert_eq!(vec_snap.hists, base_snap.hists);
-            let base_vals: Vec<(&String, u64)> =
-                base_snap.values.iter().map(|(k, v)| (k, v.to_bits())).collect();
-            let vec_vals: Vec<(&String, u64)> =
-                vec_snap.values.iter().map(|(k, v)| (k, v.to_bits())).collect();
-            assert_eq!(vec_vals, base_vals, "gauges must match to the bit");
-            let spans = |s: &acqp_obs::Snapshot| {
-                s.spans.iter().map(|(k, v)| (k.clone(), v.count)).collect::<Vec<_>>()
-            };
-            assert_eq!(spans(&vec_snap), spans(&base_snap));
-            assert_eq!(vec_flight, base_flight, "flight traces must match byte for byte");
+    /// Every option set against values recorded from the per-tuple wire
+    /// interpreter engine the batch window replaced, before it was
+    /// deleted: reports, ledgers, metrics and flight traces must match
+    /// to the bit.
+    #[test]
+    fn every_option_set_reproduces_its_golden_run() {
+        let expected: Vec<(&str, Golden)> = vec![
+            (
+                "lossless_star",
+                Golden {
+                    tuples: 5820,
+                    results: 484,
+                    delivered: 484,
+                    lost: 0,
+                    aborted: 0,
+                    offline: 0,
+                    undisseminated: 0,
+                    samples: 0,
+                    replans: 0,
+                    adopted: 0,
+                    crashes: 0,
+                    cold_starts: 0,
+                    wal_replayed: 0,
+                    checkpoints: 0,
+                    bs_tx_uj: 0x4042000000000000,
+                    rediss_uj: 0x0000000000000000,
+                    ledgers: vec![
+                        [
+                            0x410fd14000000000,
+                            0x4131e9f000000000,
+                            0x4088600000000000,
+                            0x4022000000000000,
+                        ],
+                        [
+                            0x410fd14000000000,
+                            0x4131e9f000000000,
+                            0x4088600000000000,
+                            0x4022000000000000,
+                        ],
+                        [
+                            0x40fe798000000000,
+                            0x412126a000000000,
+                            0x4077800000000000,
+                            0x4022000000000000,
+                        ],
+                    ],
+                    metrics: 0x85b3ad53bd0bbac2,
+                    flight: 0xe2df91af1cec74f3,
+                },
+            ),
+            (
+                "multihop",
+                Golden {
+                    tuples: 4400,
+                    results: 364,
+                    delivered: 364,
+                    lost: 0,
+                    aborted: 0,
+                    offline: 0,
+                    undisseminated: 0,
+                    samples: 0,
+                    replans: 0,
+                    adopted: 0,
+                    crashes: 0,
+                    cold_starts: 0,
+                    wal_replayed: 0,
+                    checkpoints: 0,
+                    bs_tx_uj: 0x4028000000000000,
+                    rediss_uj: 0x0000000000000000,
+                    ledgers: vec![
+                        [
+                            0x40fdcf4000000000,
+                            0x4120c8e000000000,
+                            0x4091400000000000,
+                            0x4081580000000000,
+                        ],
+                        [
+                            0x40fdcf4000000000,
+                            0x4120c8e000000000,
+                            0x4076c00000000000,
+                            0x4022000000000000,
+                        ],
+                        [
+                            0x40fdcf4000000000,
+                            0x4120c8e000000000,
+                            0x4076c00000000000,
+                            0x4022000000000000,
+                        ],
+                        [
+                            0x40fdcf4000000000,
+                            0x4120c8e000000000,
+                            0x4076c00000000000,
+                            0x4022000000000000,
+                        ],
+                    ],
+                    metrics: 0xd83efa50e9b459e0,
+                    flight: 0x069c380de2659841,
+                },
+            ),
+            (
+                "loss_sensing_dropout",
+                Golden {
+                    tuples: 3800,
+                    results: 304,
+                    delivered: 291,
+                    lost: 13,
+                    aborted: 94,
+                    offline: 100,
+                    undisseminated: 0,
+                    samples: 0,
+                    replans: 0,
+                    adopted: 0,
+                    crashes: 0,
+                    cold_starts: 0,
+                    wal_replayed: 0,
+                    checkpoints: 0,
+                    bs_tx_uj: 0x4042000000000000,
+                    rediss_uj: 0x0000000000000000,
+                    ledgers: vec![
+                        [
+                            0x410347f800000000,
+                            0x4123d62000000000,
+                            0x407fc00000000000,
+                            0x4022000000000000,
+                        ],
+                        [
+                            0x4102147000000000,
+                            0x41224f8000000000,
+                            0x407c800000000000,
+                            0x4022000000000000,
+                        ],
+                        [
+                            0x4103957000000000,
+                            0x4123d62000000000,
+                            0x4080600000000000,
+                            0x4022000000000000,
+                        ],
+                    ],
+                    metrics: 0xb106e4166421ca16,
+                    flight: 0xfba1c9380e8cc9e6,
+                },
+            ),
+            (
+                "adaptive_under_loss",
+                Golden {
+                    tuples: 3597,
+                    results: 319,
+                    delivered: 227,
+                    lost: 92,
+                    aborted: 10,
+                    offline: 0,
+                    undisseminated: 3,
+                    samples: 1254,
+                    replans: 7,
+                    adopted: 1,
+                    crashes: 0,
+                    cold_starts: 0,
+                    wal_replayed: 0,
+                    checkpoints: 0,
+                    bs_tx_uj: 0x405a000000000000,
+                    rediss_uj: 0x0000000000000000,
+                    ledgers: vec![
+                        [
+                            0x410893c800000000,
+                            0x412b198000000000,
+                            0x40c0168000000000,
+                            0x4018000000000000,
+                        ],
+                        [
+                            0x4108bc0000000000,
+                            0x412b09e000000000,
+                            0x40c66f8000000000,
+                            0x4018000000000000,
+                        ],
+                        [
+                            0x4108ead800000000,
+                            0x412b215000000000,
+                            0x40bfbb0000000000,
+                            0x4018000000000000,
+                        ],
+                    ],
+                    metrics: 0x55ca1f60d728615a,
+                    flight: 0x0bddfff0f164c923,
+                },
+            ),
+            (
+                "crash_checkpoint_wal",
+                Golden {
+                    tuples: 3600,
+                    results: 300,
+                    delivered: 300,
+                    lost: 0,
+                    aborted: 0,
+                    offline: 0,
+                    undisseminated: 0,
+                    samples: 0,
+                    replans: 0,
+                    adopted: 0,
+                    crashes: 2,
+                    cold_starts: 0,
+                    wal_replayed: 30,
+                    checkpoints: 24,
+                    bs_tx_uj: 0x4060800000000000,
+                    rediss_uj: 0x405f800000000000,
+                    ledgers: vec![
+                        [
+                            0x4100428000000000,
+                            0x41224f8000000000,
+                            0x407c400000000000,
+                            0x403b000000000000,
+                        ],
+                        [
+                            0x4100428000000000,
+                            0x41224f8000000000,
+                            0x407d000000000000,
+                            0x403b000000000000,
+                        ],
+                        [
+                            0x4100428000000000,
+                            0x41224f8000000000,
+                            0x407b800000000000,
+                            0x403b000000000000,
+                        ],
+                    ],
+                    metrics: 0xbf580b13ccfd3771,
+                    flight: 0x187468472eae2720,
+                },
+            ),
+            (
+                "cold_start",
+                Golden {
+                    tuples: 3600,
+                    results: 321,
+                    delivered: 321,
+                    lost: 0,
+                    aborted: 0,
+                    offline: 0,
+                    undisseminated: 0,
+                    samples: 1800,
+                    replans: 7,
+                    adopted: 3,
+                    crashes: 2,
+                    cold_starts: 2,
+                    wal_replayed: 0,
+                    checkpoints: 0,
+                    bs_tx_uj: 0x4055000000000000,
+                    rediss_uj: 0x4049000000000000,
+                    ledgers: vec![
+                        [
+                            0x4107a20000000000,
+                            0x412b1d6800000000,
+                            0x40bb530000000000,
+                            0x4032000000000000,
+                        ],
+                        [
+                            0x4107a20000000000,
+                            0x412b1d6800000000,
+                            0x40bb7d0000000000,
+                            0x4032000000000000,
+                        ],
+                        [
+                            0x4107a20000000000,
+                            0x412b1d6800000000,
+                            0x40bb1e0000000000,
+                            0x4032000000000000,
+                        ],
+                    ],
+                    metrics: 0x55c6fdcb4b4329c2,
+                    flight: 0x74354352f95d2a3b,
+                },
+            ),
+            (
+                "combined",
+                Golden {
+                    tuples: 3536,
+                    results: 313,
+                    delivered: 231,
+                    lost: 82,
+                    aborted: 38,
+                    offline: 60,
+                    undisseminated: 4,
+                    samples: 1296,
+                    replans: 6,
+                    adopted: 1,
+                    crashes: 3,
+                    cold_starts: 0,
+                    wal_replayed: 116,
+                    checkpoints: 24,
+                    bs_tx_uj: 0x4061800000000000,
+                    rediss_uj: 0x4051400000000000,
+                    ledgers: vec![
+                        [
+                            0x41097b5800000000,
+                            0x412af27000000000,
+                            0x40c54b8000000000,
+                            0x402e000000000000,
+                        ],
+                        [
+                            0x4109e8a800000000,
+                            0x412b159800000000,
+                            0x40bcbc0000000000,
+                            0x402e000000000000,
+                        ],
+                        [
+                            0x4108bef800000000,
+                            0x4129aa5000000000,
+                            0x40bb320000000000,
+                            0x402e000000000000,
+                        ],
+                    ],
+                    metrics: 0xe350c87b6e0efec2,
+                    flight: 0x2311a5f58530e61e,
+                },
+            ),
+        ];
+        for (name, want) in expected {
+            assert_eq!(golden_run(name), want, "golden case {name}");
         }
     }
 
@@ -1541,19 +1987,10 @@ mod tests {
             ..SimOptions::default()
         };
         let mut motes = fleet_from_trace(&live, 2);
-        let rep = run_simulation(
-            &bs,
-            &query,
-            &planned,
-            &mut motes,
-            &model,
-            live.len(),
-            ExecMode::Scalar,
-            &rec,
-            &opts,
-        )
-        .unwrap()
-        .fault;
+        let rep =
+            run_simulation(&bs, &query, &planned, &mut motes, &model, live.len(), &rec, &opts)
+                .unwrap()
+                .fault;
         assert!(rep.sim.all_correct, "re-planning must never corrupt verdicts");
         assert!(!rep.replans.is_empty(), "flipped correlation must trigger a re-plan");
         let adopted: Vec<_> = rep.replans.iter().filter(|r| r.adopted).collect();
@@ -1598,7 +2035,6 @@ mod tests {
             &mut motes,
             &model,
             live.len(),
-            ExecMode::Scalar,
             &Recorder::disabled(),
             &opts,
         )
@@ -1640,7 +2076,6 @@ mod tests {
             &mut motes,
             &model,
             20,
-            ExecMode::Scalar,
             &Recorder::disabled(),
             &opts,
         )
@@ -1651,19 +2086,14 @@ mod tests {
         assert!(rep.fault.sim.all_correct);
     }
 
-    /// Runs `planned` under `opts` and `mode`, returning only the error.
-    fn rejection(
-        planned: &PlannedQuery,
-        fleet: u16,
-        mode: ExecMode,
-        opts: &SimOptions,
-    ) -> acqp_core::Error {
+    /// Runs `planned` under `opts`, returning only the error.
+    fn rejection(planned: &PlannedQuery, fleet: u16, opts: &SimOptions) -> acqp_core::Error {
         let (schema, data, query) = setup();
         let bs = Basestation::new(schema, &data);
         let mut motes = fleet_from_trace(&data, fleet);
         let model = EnergyModel::mica_like();
         let rec = Recorder::disabled();
-        match run_simulation(&bs, &query, planned, &mut motes, &model, 16, mode, &rec, opts) {
+        match run_simulation(&bs, &query, planned, &mut motes, &model, 16, &rec, opts) {
             Ok(_) => panic!("the run must be rejected"),
             Err(e) => e,
         }
@@ -1680,7 +2110,7 @@ mod tests {
     fn rejects_a_truncated_wire() {
         let mut planned = heuristic_plan();
         planned.wire.pop();
-        let err = rejection(&planned, 2, ExecMode::Scalar, &SimOptions::default());
+        let err = rejection(&planned, 2, &SimOptions::default());
         assert!(matches!(err, Error::BadWireFormat { .. }), "{err:?}");
     }
 
@@ -1691,10 +2121,10 @@ mod tests {
         let mut planned = heuristic_plan();
         let naive = bs.plan_query(&query, PlannerChoice::Naive, 0.0).unwrap();
         assert_ne!(naive.wire, planned.wire, "the two plans must differ");
-        // The wire still certifies; only the tree the batch path would
-        // run disagrees with it.
+        // The wire still certifies; only the tree the batch executor
+        // would run disagrees with it.
         planned.plan = naive.plan;
-        let err = rejection(&planned, 2, ExecMode::Scalar, &SimOptions::default());
+        let err = rejection(&planned, 2, &SimOptions::default());
         assert!(
             matches!(err, Error::BadWireFormat { what, .. } if what.contains("does not encode")),
             "{err:?}"
@@ -1704,18 +2134,11 @@ mod tests {
     #[test]
     fn rejects_a_topology_of_the_wrong_length() {
         let opts = SimOptions { topology: Some(Topology::line(3)), ..SimOptions::default() };
-        let err = rejection(&heuristic_plan(), 2, ExecMode::Scalar, &opts);
+        let err = rejection(&heuristic_plan(), 2, &opts);
         assert!(
             matches!(err, Error::InvalidFlag { ref flag, .. } if flag == "topology"),
             "{err:?}"
         );
-    }
-
-    #[test]
-    fn rejects_vectorized_with_loss() {
-        let opts = lossy(FaultModel::lossy(1, 0.2));
-        let err = rejection(&heuristic_plan(), 2, ExecMode::Vectorized, &opts);
-        assert!(matches!(err, Error::InvalidFlag { ref flag, .. } if flag == "exec"), "{err:?}");
     }
 
     #[test]
@@ -1729,7 +2152,7 @@ mod tests {
         // tree radio model, which has no loss semantics either.
         let star = SimOptions { topology: Some(Topology::star(4)), ..opts.clone() };
         for opts in [opts, star] {
-            let err = rejection(&heuristic_plan(), 4, ExecMode::Scalar, &opts);
+            let err = rejection(&heuristic_plan(), 4, &opts);
             assert!(
                 matches!(err, Error::InvalidFlag { ref flag, .. } if flag == "topology"),
                 "{err:?}"

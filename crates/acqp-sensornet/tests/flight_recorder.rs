@@ -2,8 +2,7 @@
 //!
 //! Three properties from DESIGN.md §13:
 //!  1. Fixed inputs ⇒ bitwise-identical event logs across repeated runs
-//!     *and* across `ExecMode::Scalar` / `ExecMode::Vectorized` (the
-//!     exporters are compared byte for byte).
+//!     (the exporters are compared byte for byte).
 //!  2. A disabled flight recorder is bitwise-transparent: simulation
 //!     reports and energy ledgers match a run with no recorder at all.
 //!  3. Lossy runs with a fixed fault seed replay to the same trace.
@@ -33,14 +32,13 @@ fn setup(div_a: u16, div_b: u16, rows: usize) -> (Schema, Dataset, Query) {
     (schema, data, query)
 }
 
-/// Runs the lossless simulation in `mode` with a fresh flight recorder
-/// and returns all three export formats plus the report.
+/// Runs the lossless simulation with a fresh flight recorder and
+/// returns all three export formats plus the report.
 fn fly(
     schema: &Schema,
     query: &Query,
     live: &Dataset,
     motes: u16,
-    mode: ExecMode,
 ) -> (String, String, String, acqp_sensornet::SimReport) {
     let bs = Basestation::new(schema.clone(), live);
     let planned = bs.plan_query(query, PlannerChoice::Heuristic(3), 0.0).unwrap();
@@ -53,7 +51,6 @@ fn fly(
         &mut fleet,
         &EnergyModel::mica_like(),
         live.len(),
-        mode,
         &rec,
         &SimOptions::default(),
     )
@@ -67,8 +64,7 @@ fn fly(
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
 
-    /// Property 1: fixed inputs ⇒ byte-identical exports, run to run
-    /// and scalar vs vectorized.
+    /// Property 1: fixed inputs ⇒ byte-identical exports, run to run.
     #[test]
     fn fixed_inputs_replay_to_identical_traces(
         div_a in 2u16..9,
@@ -77,24 +73,13 @@ proptest! {
         rows in 40usize..120,
     ) {
         let (schema, data, query) = setup(div_a, div_b, rows);
-        let (chrome1, jsonl1, text1, rep1) = fly(&schema, &query, &data, motes, ExecMode::Scalar);
-        let (chrome2, jsonl2, text2, rep2) = fly(&schema, &query, &data, motes, ExecMode::Scalar);
-        prop_assert_eq!(&chrome1, &chrome2, "same-seed scalar traces diverged");
+        let (chrome1, jsonl1, text1, rep1) = fly(&schema, &query, &data, motes);
+        let (chrome2, jsonl2, text2, rep2) = fly(&schema, &query, &data, motes);
+        prop_assert_eq!(&chrome1, &chrome2, "same-input traces diverged");
         prop_assert_eq!(&jsonl1, &jsonl2);
         prop_assert_eq!(&text1, &text2);
         prop_assert_eq!(rep1.results, rep2.results);
-
-        let (chrome_v, jsonl_v, text_v, rep_v) =
-            fly(&schema, &query, &data, motes, ExecMode::Vectorized);
-        prop_assert_eq!(&chrome1, &chrome_v, "scalar and vectorized traces diverged");
-        prop_assert_eq!(&jsonl1, &jsonl_v);
-        prop_assert_eq!(&text1, &text_v);
-        prop_assert_eq!(rep1.results, rep_v.results);
-        prop_assert_eq!(
-            rep1.network.total_uj().to_bits(),
-            rep_v.network.total_uj().to_bits(),
-            "energy must stay bitwise identical across exec modes"
-        );
+        prop_assert_eq!(rep1.network.total_uj().to_bits(), rep2.network.total_uj().to_bits());
     }
 
     /// Property 2: a disabled flight recorder never perturbs the run —
@@ -110,31 +95,28 @@ proptest! {
         let planned = bs.plan_query(&query, PlannerChoice::Heuristic(3), 0.0).unwrap();
         let model = EnergyModel::mica_like();
 
-        for mode in [ExecMode::Scalar, ExecMode::Vectorized] {
-            let mut bare_fleet = fleet_from_trace(&data, motes);
-            let opts = SimOptions::default();
-            let bare = run_simulation(
-                &bs, &query, &planned, &mut bare_fleet, &model, data.len(), mode,
-                &Recorder::disabled(), &opts,
-            )
-            .unwrap()
-            .fault
-            .sim;
-            let rec = Recorder::disabled().with_flight(FlightRecorder::disabled());
-            let mut fleet = fleet_from_trace(&data, motes);
-            let flown = run_simulation(
-                &bs, &query, &planned, &mut fleet, &model, data.len(), mode, &rec, &opts,
-            )
-            .unwrap()
-            .fault
-            .sim;
-            prop_assert_eq!(rec.flight().emitted(), 0, "disabled ring must swallow emits");
-            prop_assert_eq!(bare.tuples, flown.tuples);
-            prop_assert_eq!(bare.results, flown.results);
-            prop_assert_eq!(bare.network.total_uj().to_bits(), flown.network.total_uj().to_bits());
-            for (a, b) in bare_fleet.iter().zip(&fleet) {
-                prop_assert_eq!(a.ledger().total_uj().to_bits(), b.ledger().total_uj().to_bits());
-            }
+        let mut bare_fleet = fleet_from_trace(&data, motes);
+        let opts = SimOptions::default();
+        let bare = run_simulation(
+            &bs, &query, &planned, &mut bare_fleet, &model, data.len(), &Recorder::disabled(),
+            &opts,
+        )
+        .unwrap()
+        .fault
+        .sim;
+        let rec = Recorder::disabled().with_flight(FlightRecorder::disabled());
+        let mut fleet = fleet_from_trace(&data, motes);
+        let flown =
+            run_simulation(&bs, &query, &planned, &mut fleet, &model, data.len(), &rec, &opts)
+                .unwrap()
+                .fault
+                .sim;
+        prop_assert_eq!(rec.flight().emitted(), 0, "disabled ring must swallow emits");
+        prop_assert_eq!(bare.tuples, flown.tuples);
+        prop_assert_eq!(bare.results, flown.results);
+        prop_assert_eq!(bare.network.total_uj().to_bits(), flown.network.total_uj().to_bits());
+        for (a, b) in bare_fleet.iter().zip(&fleet) {
+            prop_assert_eq!(a.ledger().total_uj().to_bits(), b.ledger().total_uj().to_bits());
         }
     }
 
@@ -157,8 +139,7 @@ proptest! {
             let rec = Recorder::disabled().with_flight(FlightRecorder::new(1 << 14));
             let mut fleet = fleet_from_trace(&data, motes);
             let rep = run_simulation(
-                &bs, &query, &planned, &mut fleet, &model, data.len(), ExecMode::Scalar, &rec,
-                &opts,
+                &bs, &query, &planned, &mut fleet, &model, data.len(), &rec, &opts,
             )
             .unwrap()
             .fault;
@@ -184,7 +165,6 @@ fn overflow_is_reported_in_exports() {
         &mut fleet,
         &EnergyModel::mica_like(),
         data.len(),
-        ExecMode::Scalar,
         &rec,
         &SimOptions::default(),
     )

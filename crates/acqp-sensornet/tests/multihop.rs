@@ -22,7 +22,7 @@ fn setup() -> (Schema, Dataset, Query) {
     (schema, data, query)
 }
 
-/// A lossless scalar run of `planned` on `motes` motes over `live`,
+/// A lossless run of `planned` on `motes` motes over `live`,
 /// multihop when `topology` is given.
 fn run(
     bs: &Basestation<'_>,
@@ -36,19 +36,7 @@ fn run(
     let model = EnergyModel::mica_like();
     let opts = SimOptions { topology, ..SimOptions::default() };
     let rec = Recorder::disabled();
-    run_simulation(
-        bs,
-        query,
-        planned,
-        &mut fleet,
-        &model,
-        live.len(),
-        ExecMode::Scalar,
-        &rec,
-        &opts,
-    )
-    .unwrap()
-    .fault
+    run_simulation(bs, query, planned, &mut fleet, &model, live.len(), &rec, &opts).unwrap().fault
 }
 
 #[test]
@@ -115,27 +103,4 @@ fn relay_burden_lands_on_ancestors() {
     let tx0 = rep.per_mote[0].radio_tx_uj;
     let tx3 = rep.per_mote[3].radio_tx_uj;
     assert!(tx0 > tx3, "root-adjacent mote must carry the relay burden: {tx0} vs {tx3}");
-}
-
-#[test]
-fn vectorized_multihop_matches_scalar_bitwise() {
-    let (schema, data, query) = setup();
-    let (history, live) = data.split_at(0.5);
-    let bs = Basestation::new(schema.clone(), &history);
-    let planned = bs.plan_query(&query, PlannerChoice::Heuristic(3), 0.0).unwrap();
-    let model = EnergyModel::mica_like();
-    let opts = SimOptions { topology: Some(Topology::balanced(5, 2)), ..SimOptions::default() };
-    let reports: Vec<FaultReport> = [ExecMode::Scalar, ExecMode::Vectorized]
-        .into_iter()
-        .map(|mode| {
-            let mut fleet = fleet_from_trace(&live, 5);
-            let rec = Recorder::disabled();
-            run_simulation(&bs, &query, &planned, &mut fleet, &model, live.len(), mode, &rec, &opts)
-                .unwrap()
-                .fault
-        })
-        .collect();
-    assert!(reports[0].sim.all_correct);
-    assert_eq!(reports[0].sim.per_mote, reports[1].sim.per_mote);
-    assert_eq!(reports[0].bs_tx_uj.to_bits(), reports[1].bs_tx_uj.to_bits());
 }

@@ -332,7 +332,6 @@ pub fn independent_schedule_energy(
     motes: u16,
     model: &EnergyModel,
     epochs: usize,
-    mode: ExecMode,
     cfg: &ServeConfig,
 ) -> Result<f64> {
     let bs = Basestation::new(schema.clone(), history);
@@ -356,7 +355,6 @@ pub fn independent_schedule_energy(
             &mut fleet,
             model,
             lived,
-            mode,
             &Recorder::disabled(),
             &SimOptions::default(),
         )?;
@@ -443,18 +441,9 @@ mod tests {
             &Recorder::disabled(),
         )
         .unwrap();
-        let independent = independent_schedule_energy(
-            &schema,
-            &data,
-            &data,
-            &schedule,
-            2,
-            &model,
-            32,
-            ExecMode::Scalar,
-            &cfg,
-        )
-        .unwrap();
+        let independent =
+            independent_schedule_energy(&schema, &data, &data, &schedule, 2, &model, 32, &cfg)
+                .unwrap();
         assert!(
             rep.shared_total_uj < independent,
             "shared {} !< independent {independent}",

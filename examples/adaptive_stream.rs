@@ -60,9 +60,7 @@ fn main() -> Result<()> {
         let mut motes = fleet_from_trace(&live, MOTES);
         let opts = SimOptions { adaptive, ..SimOptions::default() };
         let rec = Recorder::disabled();
-        let mode = ExecMode::Scalar;
-        Ok(run_simulation(&bs, &query, &planned, &mut motes, &model, EPOCHS, mode, &rec, &opts)?
-            .fault)
+        Ok(run_simulation(&bs, &query, &planned, &mut motes, &model, EPOCHS, &rec, &opts)?.fault)
     };
 
     let frozen = run(None)?;

@@ -68,7 +68,6 @@ fn main() -> Result<()> {
             &mut motes,
             &model,
             live.len(),
-            ExecMode::Scalar,
             &Recorder::disabled(),
             &SimOptions::default(),
         )?

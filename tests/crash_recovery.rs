@@ -58,8 +58,7 @@ fn run(
 ) -> CrashReport {
     let mut motes = fleet_from_trace(live, 3);
     let model = EnergyModel::mica_like();
-    run_simulation(bs, query, planned, &mut motes, &model, live.len(), ExecMode::Scalar, rec, opts)
-        .unwrap()
+    run_simulation(bs, query, planned, &mut motes, &model, live.len(), rec, opts).unwrap()
 }
 
 /// The crash config of a run that journals every engine event to `dir`

@@ -90,7 +90,6 @@ fn board_costs_compose_with_sensornet_energy() {
         &mut motes,
         &model,
         live.len(),
-        ExecMode::Scalar,
         &Recorder::disabled(),
         &SimOptions::default(),
     )

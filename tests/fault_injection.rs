@@ -5,7 +5,6 @@ mod common;
 
 use std::sync::Arc;
 
-use acqp::core::exec::ExecMode;
 use acqp::obs::{NoopSink, Recorder};
 use acqp::sensornet::{
     attempt_packet, run_simulation, sim::fleet_from_trace, Basestation, EnergyModel, FaultModel,
@@ -24,8 +23,7 @@ fn simulate(inst: &Instance, faults: &FaultModel) -> acqp::sensornet::FaultRepor
     let rec = Recorder::new(Arc::new(NoopSink));
     let mut motes = fleet_from_trace(&live, 3);
     let opts = SimOptions { faults: faults.clone(), ..SimOptions::default() };
-    let mode = ExecMode::Scalar;
-    run_simulation(&bs, &inst.query, &planned, &mut motes, &model, live.len(), mode, &rec, &opts)
+    run_simulation(&bs, &inst.query, &planned, &mut motes, &model, live.len(), &rec, &opts)
         .unwrap()
         .fault
 }
@@ -48,7 +46,7 @@ proptest! {
 
         let mut motes = fleet_from_trace(&live, 3);
         let lossless = run_simulation(
-            &bs, &inst.query, &planned, &mut motes, &model, live.len(), ExecMode::Scalar,
+            &bs, &inst.query, &planned, &mut motes, &model, live.len(),
             &Recorder::disabled(), &SimOptions::default(),
         )
         .unwrap()

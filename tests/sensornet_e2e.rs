@@ -44,7 +44,6 @@ fn full_pipeline_is_exact_and_accounts_energy() {
             &mut motes,
             &model,
             live.len(),
-            ExecMode::Scalar,
             &Recorder::disabled(),
             &SimOptions::default(),
         )
@@ -100,7 +99,6 @@ fn board_powerup_reduces_to_zero_without_boards() {
         &mut motes,
         &no_board,
         200,
-        ExecMode::Scalar,
         &Recorder::disabled(),
         &SimOptions::default(),
     )
@@ -120,7 +118,6 @@ fn board_powerup_reduces_to_zero_without_boards() {
         &mut motes,
         &with_board,
         200,
-        ExecMode::Scalar,
         &Recorder::disabled(),
         &SimOptions::default(),
     )

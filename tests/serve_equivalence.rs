@@ -6,8 +6,8 @@
 //! 1. **Transparency** — a service run with a single query spanning the
 //!    whole trace is *bitwise* identical to `run_simulation`:
 //!    same tuples, results, per-mote and network energy ledgers to the
-//!    bit, in both exec modes. The service's sharing machinery must be
-//!    invisible when there is nothing to share.
+//!    bit. The service's sharing machinery must be invisible when there
+//!    is nothing to share.
 //! 2. **Mode equivalence** — a merged multi-query schedule produces
 //!    bitwise-identical reports in either exec mode: the service runs
 //!    one slot kernel, a row walk of each query's prepared plan with
@@ -59,7 +59,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: cases(24), ..ProptestConfig::default() })]
 
     /// A single whole-trace query through the service is bitwise
-    /// identical to the plain engine, in both exec modes.
+    /// identical to the plain engine.
     #[test]
     fn single_query_service_is_bitwise_transparent(inst in instance_strategy()) {
         let cfg = ServeConfig::default();
@@ -70,37 +70,28 @@ proptest! {
         let (_, planned) = bs
             .plan_query_sized(&inst.query, cfg.alpha, &cfg.candidate_splits)
             .expect("planning a checked query");
-        for mode in [ExecMode::Scalar, ExecMode::Vectorized] {
-            let mut fleet = fleet_from_trace(&inst.data, 2);
-            let sim = run_simulation(
-                &bs,
-                &inst.query,
-                &planned,
-                &mut fleet,
-                &EnergyModel::mica_like(),
-                epochs,
-                mode,
-                &Recorder::disabled(),
-                &SimOptions::default(),
-            )
-            .expect("simulating a certified plan")
-            .fault
-            .sim;
-            let rep = serve_instance(&inst, &schedule, mode);
-            prop_assert_eq!(rep.service.tuples(), sim.tuples, "{:?}: tuples", mode);
-            prop_assert_eq!(rep.service.results(), sim.results, "{:?}: results", mode);
-            prop_assert!(rep.service.all_correct(), "{mode:?}: verdicts vs ground truth");
-            assert_ledgers_bitwise(
-                &rep.service.network,
-                &sim.network,
-                &format!("{mode:?}: network"),
-            );
-            prop_assert_eq!(rep.service.per_mote.len(), sim.per_mote.len());
-            for (i, (a, b)) in
-                rep.service.per_mote.iter().zip(&sim.per_mote).enumerate()
-            {
-                assert_ledgers_bitwise(a, b, &format!("{mode:?}: mote {i}"));
-            }
+        let mut fleet = fleet_from_trace(&inst.data, 2);
+        let sim = run_simulation(
+            &bs,
+            &inst.query,
+            &planned,
+            &mut fleet,
+            &EnergyModel::mica_like(),
+            epochs,
+            &Recorder::disabled(),
+            &SimOptions::default(),
+        )
+        .expect("simulating a certified plan")
+        .fault
+        .sim;
+        let rep = serve_instance(&inst, &schedule, ExecMode::Scalar);
+        prop_assert_eq!(rep.service.tuples(), sim.tuples, "tuples");
+        prop_assert_eq!(rep.service.results(), sim.results, "results");
+        prop_assert!(rep.service.all_correct(), "verdicts vs ground truth");
+        assert_ledgers_bitwise(&rep.service.network, &sim.network, "network");
+        prop_assert_eq!(rep.service.per_mote.len(), sim.per_mote.len());
+        for (i, (a, b)) in rep.service.per_mote.iter().zip(&sim.per_mote).enumerate() {
+            assert_ledgers_bitwise(a, b, &format!("mote {i}"));
         }
     }
 
