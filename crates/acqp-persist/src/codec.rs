@@ -22,6 +22,11 @@ impl Writer {
         Writer { buf: Vec::new() }
     }
 
+    /// A writer appending to `buf`, keeping its contents and capacity.
+    pub(crate) fn reuse(buf: Vec<u8>) -> Self {
+        Writer { buf }
+    }
+
     /// The encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf

@@ -13,7 +13,8 @@
 //! 1. Try snapshots newest-first; the first one that validates wins.
 //!    Each invalid one increments `corrupt_snapshots`.
 //! 2. Replay WAL records with `seq > checkpoint.last_seq` — the
-//!    sequence filter is what makes replay idempotent.
+//!    sequence filter is what makes replay idempotent. The one
+//!    validating pass over the log keeps only those records.
 //! 3. If *no* snapshot validates, cold-start: the caller rebuilds
 //!    genesis state and the **entire** valid WAL prefix is replayed
 //!    onto it, so snapshot corruption alone loses nothing that was
@@ -24,7 +25,7 @@ use std::path::{Path, PathBuf};
 
 use crate::snapshot::{BasestationCheckpoint, ServeCheckpoint};
 use crate::wal::{self, WalRecord};
-use crate::{io_err, PersistError, Result};
+use crate::{io_err, Result};
 
 const SNAP_PREFIX: &str = "snap-";
 const WAL_FILE: &str = "wal.log";
@@ -37,6 +38,8 @@ pub struct CheckpointStore {
     next_snap: u64,
     next_seq: u64,
     wal: Option<File>,
+    /// The frame being appended, reused across appends.
+    frame: Vec<u8>,
 }
 
 /// What [`CheckpointStore::recover`] found.
@@ -88,6 +91,18 @@ fn snap_index(name: &str) -> Option<u64> {
     name.strip_prefix(SNAP_PREFIX)?.parse().ok()
 }
 
+/// Opens the WAL at `path` for appending, writing the header into a
+/// fresh file.
+fn open_wal(path: &Path) -> Result<File> {
+    let fresh = !path.exists();
+    let mut f =
+        OpenOptions::new().create(true).append(true).open(path).map_err(|e| io_err(path, e))?;
+    if fresh {
+        wal::append_frame(&mut f, &wal::wal_header()).map_err(|e| io_err(path, e))?;
+    }
+    Ok(f)
+}
+
 impl CheckpointStore {
     /// Opens (creating if needed) a checkpoint directory and positions
     /// the snapshot index and WAL sequence counter after any existing
@@ -101,14 +116,15 @@ impl CheckpointStore {
                 max_snap = max_snap.max(idx);
             }
         }
-        let wal_path = dir.join(WAL_FILE);
-        let scan = wal::scan_file(&wal_path)?;
-        let last_seq = scan.records.last().map(|(s, _)| *s).unwrap_or(0);
+        // Validate the whole log but keep none of it: only the last
+        // sequence number matters here.
+        let scan = wal::scan_file_beyond(&dir.join(WAL_FILE), u64::MAX)?;
         Ok(CheckpointStore {
             dir: dir.to_path_buf(),
             next_snap: max_snap + 1,
-            next_seq: last_seq + 1,
+            next_seq: scan.last_seq.unwrap_or(0) + 1,
             wal: None,
+            frame: Vec::new(),
         })
     }
 
@@ -122,37 +138,19 @@ impl CheckpointStore {
         self.next_seq
     }
 
-    fn wal_path(&self) -> PathBuf {
-        self.dir.join(WAL_FILE)
-    }
-
-    fn wal_file(&mut self) -> Result<&mut File> {
-        if self.wal.is_none() {
-            let path = self.wal_path();
-            let fresh = !path.exists();
-            let mut f = OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&path)
-                .map_err(|e| io_err(&path, e))?;
-            if fresh {
-                wal::append_frame(&mut f, &path, &wal::wal_header())?;
-            }
-            self.wal = Some(f);
-        }
-        // Assigned `Some` above when it was `None`; kept panic-free all
-        // the same — persistence code never gets to abort the process.
-        self.wal.as_mut().ok_or(PersistError::Corrupt { what: "wal handle missing after open" })
-    }
-
     /// Appends one record to the WAL and returns the sequence number it
-    /// was stamped with.
+    /// was stamped with. The frame is encoded into a buffer the store
+    /// reuses, and the WAL's path is built only to open the file or to
+    /// report an error, so an append allocates nothing once the file
+    /// is open.
     pub fn append(&mut self, record: &WalRecord) -> Result<u64> {
         let seq = self.next_seq;
-        let frame = record.to_frame(seq);
-        let path = self.wal_path();
-        let file = self.wal_file()?;
-        wal::append_frame(file, &path, &frame)?;
+        let file = match self.wal.as_mut() {
+            Some(file) => file,
+            None => self.wal.insert(open_wal(&self.dir.join(WAL_FILE))?),
+        };
+        record.frame_into(seq, &mut self.frame);
+        wal::append_frame(file, &self.frame).map_err(|e| io_err(&self.dir.join(WAL_FILE), e))?;
         self.next_seq = seq + 1;
         Ok(seq)
     }
@@ -198,12 +196,11 @@ impl CheckpointStore {
         Ok((None, corrupt, scanned))
     }
 
-    /// Replays the WAL beyond `floor` (everything, on a cold start).
+    /// Replays the WAL beyond `floor` (everything, on a cold start):
+    /// one validating pass that keeps only the records to apply.
     fn replay_beyond(&self, floor: u64) -> Result<(Vec<WalRecord>, bool)> {
-        let scan = wal::scan_file(&self.wal_path())?;
-        let replayed =
-            scan.records.into_iter().filter(|(seq, _)| *seq > floor).map(|(_, r)| r).collect();
-        Ok((replayed, scan.torn_tail))
+        let scan = wal::scan_file_beyond(&self.dir.join(WAL_FILE), floor)?;
+        Ok((scan.records.into_iter().map(|(_, r)| r).collect(), scan.torn_tail))
     }
 
     /// Recovers the latest consistent state: newest valid snapshot plus

@@ -10,12 +10,14 @@
 //! ```
 //!
 //! Each record carries its own checksum and monotonic sequence number,
-//! so the log validates record-by-record: [`scan`] returns the longest
-//! valid prefix and flags whether the file ends in garbage. A torn
-//! tail is the *expected* post-crash state — the last record was being
-//! appended when the process died — and costs exactly the work of that
-//! one record. Sequence numbers make replay idempotent: recovery skips
-//! every record already folded into the snapshot (`seq <= last_seq`).
+//! so the log validates record-by-record: [`scan_bytes`] returns the
+//! longest valid prefix and flags whether the file ends in garbage. A
+//! torn tail is the *expected* post-crash state — the last record was
+//! being appended when the process died — and costs exactly the work of
+//! that one record. Sequence numbers make replay idempotent: recovery
+//! skips every record already folded into the snapshot
+//! (`seq <= last_seq`). [`scan_beyond`] is the same pass keeping only
+//! the records beyond such a floor, so recovery holds just the tail.
 
 use std::io::Write as _;
 use std::path::Path;
@@ -103,6 +105,11 @@ impl WalRecord {
     /// Encodes `seq` + tag + payload (the checksummed record body).
     pub fn encode_body(&self, seq: u64) -> Vec<u8> {
         let mut w = Writer::new();
+        self.write_body(seq, &mut w);
+        w.into_bytes()
+    }
+
+    fn write_body(&self, seq: u64, w: &mut Writer) {
         w.u64(seq);
         w.u8(self.tag());
         match self {
@@ -132,7 +139,6 @@ impl WalRecord {
                 w.u8(*status);
             }
         }
-        w.into_bytes()
     }
 
     /// Decodes a record body back into `(seq, record)`.
@@ -171,12 +177,24 @@ impl WalRecord {
 
     /// Frames the record for appending: length + body + checksum.
     pub fn to_frame(&self, seq: u64) -> Vec<u8> {
-        let body = self.encode_body(seq);
-        let mut out = Vec::with_capacity(body.len() + 12);
-        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        out.extend_from_slice(&body);
-        out.extend_from_slice(&fnv1a64(&body).to_le_bytes());
+        let mut out = Vec::new();
+        self.frame_into(seq, &mut out);
         out
+    }
+
+    /// [`to_frame`](Self::to_frame) into `out`, replacing its contents
+    /// and reusing its capacity, so a caller appending many records
+    /// allocates once.
+    pub fn frame_into(&self, seq: u64, out: &mut Vec<u8>) {
+        out.clear();
+        out.extend_from_slice(&[0; 4]);
+        let mut w = Writer::reuse(std::mem::take(out));
+        self.write_body(seq, &mut w);
+        *out = w.into_bytes();
+        let body = &out[4..];
+        let (len, sum) = ((body.len() as u32).to_le_bytes(), fnv1a64(body).to_le_bytes());
+        out[..4].copy_from_slice(&len);
+        out.extend_from_slice(&sum);
     }
 }
 
@@ -191,8 +209,13 @@ pub fn wal_header() -> Vec<u8> {
 /// Result of scanning a WAL file: the valid prefix, in order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WalScan {
-    /// Every record that validated, as `(seq, record)` in file order.
+    /// The records of the valid prefix that the scan kept, as
+    /// `(seq, record)` in file order: all of them for [`scan_bytes`],
+    /// those beyond the floor for [`scan_beyond`].
     pub records: Vec<(u64, WalRecord)>,
+    /// Sequence number of the last record of the valid prefix, kept or
+    /// not; `None` when the prefix is empty.
+    pub last_seq: Option<u64>,
     /// True if the file ended in bytes that failed to validate (torn
     /// tail after a crash, or corruption). Scanning stops there; the
     /// records before it are still good.
@@ -204,61 +227,74 @@ pub struct WalScan {
 /// A missing or mangled header yields an empty scan with `torn_tail`
 /// set — the file contributes nothing, but the caller keeps going.
 pub fn scan_bytes(bytes: &[u8]) -> WalScan {
+    scan(bytes, None)
+}
+
+/// [`scan_bytes`] keeping only the records with `seq > floor`: every
+/// record is still validated (checksum, decode, sequence order), so the
+/// valid prefix, `last_seq` and `torn_tail` are those of the full scan.
+pub fn scan_beyond(bytes: &[u8], floor: u64) -> WalScan {
+    scan(bytes, Some(floor))
+}
+
+/// The one validating pass behind [`scan_bytes`] and [`scan_beyond`].
+fn scan(bytes: &[u8], floor: Option<u64>) -> WalScan {
+    let mut out = WalScan { records: Vec::new(), last_seq: None, torn_tail: true };
     let header = wal_header();
     if bytes.len() < header.len() || bytes[..header.len()] != header[..] {
-        return WalScan { records: Vec::new(), torn_tail: true };
+        return out;
     }
     let mut pos = header.len();
-    let mut records = Vec::new();
-    let mut last_seq = 0u64;
     while pos < bytes.len() {
         let Some(len) = bytes.get(pos..pos + 4).and_then(crate::codec::le_u32) else { break };
         if len > MAX_RECORD {
-            return WalScan { records, torn_tail: true };
+            return out;
         }
         let body_start = pos + 4;
         let body_end = body_start + len as usize;
         let sum_end = body_end + 8;
         if sum_end > bytes.len() {
-            return WalScan { records, torn_tail: true };
+            return out;
         }
         let body = &bytes[body_start..body_end];
         let stored = crate::codec::le_u64(&bytes[body_end..sum_end]);
         if stored != Some(fnv1a64(body)) {
-            return WalScan { records, torn_tail: true };
+            return out;
         }
         let Ok((seq, rec)) = WalRecord::decode_body(body) else {
-            return WalScan { records, torn_tail: true };
+            return out;
         };
         // Sequence numbers must strictly increase; a regression means
         // the file was stitched or overwritten — stop trusting it.
-        if !records.is_empty() && seq <= last_seq {
-            return WalScan { records, torn_tail: true };
+        if out.last_seq.is_some_and(|last| seq <= last) {
+            return out;
         }
-        last_seq = seq;
-        records.push((seq, rec));
+        out.last_seq = Some(seq);
+        if floor.is_none_or(|f| seq > f) {
+            out.records.push((seq, rec));
+        }
         pos = sum_end;
     }
-    let torn = pos != bytes.len();
-    WalScan { records, torn_tail: torn }
+    out.torn_tail = pos != bytes.len();
+    out
 }
 
-/// Scans a WAL file from disk. A missing file is an empty, clean scan
-/// (no log yet, nothing torn).
-pub fn scan_file(path: &Path) -> Result<WalScan> {
+/// Reads a WAL file from disk and scans it with [`scan_beyond`]. A
+/// missing file is an empty, clean scan (no log yet, nothing torn).
+pub fn scan_file_beyond(path: &Path, floor: u64) -> Result<WalScan> {
     match std::fs::read(path) {
-        Ok(bytes) => Ok(scan_bytes(&bytes)),
+        Ok(bytes) => Ok(scan_beyond(&bytes, floor)),
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            Ok(WalScan { records: Vec::new(), torn_tail: false })
+            Ok(WalScan { records: Vec::new(), last_seq: None, torn_tail: false })
         }
         Err(e) => Err(io_err(path, e)),
     }
 }
 
 /// Appends one framed record to an open WAL file and flushes it.
-pub fn append_frame(file: &mut std::fs::File, path: &Path, frame: &[u8]) -> Result<()> {
-    file.write_all(frame).map_err(|e| io_err(path, e))?;
-    file.flush().map_err(|e| io_err(path, e))
+pub fn append_frame(file: &mut std::fs::File, frame: &[u8]) -> std::io::Result<()> {
+    file.write_all(frame)?;
+    file.flush()
 }
 
 #[cfg(test)]
@@ -362,8 +398,18 @@ mod tests {
 
     #[test]
     fn missing_file_scans_clean_and_empty() {
-        let scan = scan_file(Path::new("/nonexistent/acqp-wal-test")).unwrap();
+        let scan = scan_file_beyond(Path::new("/nonexistent/acqp-wal-test"), 0).unwrap();
         assert!(scan.records.is_empty());
+        assert_eq!(scan.last_seq, None);
         assert!(!scan.torn_tail);
+    }
+
+    #[test]
+    fn a_reused_frame_buffer_matches_a_fresh_frame() {
+        let mut buf = Vec::new();
+        for (i, rec) in samples().iter().enumerate().rev() {
+            rec.frame_into(i as u64 + 7, &mut buf);
+            assert_eq!(buf, rec.to_frame(i as u64 + 7));
+        }
     }
 }

@@ -1,5 +1,7 @@
 //! A simulated mote: a per-epoch trace with energy accounting.
 
+use std::sync::Arc;
+
 use acqp_core::{AttrId, Dataset, Schema};
 
 use crate::energy::{EnergyLedger, EnergyModel};
@@ -8,18 +10,21 @@ use crate::fault::{FaultModel, FaultStats};
 /// One sensor node. Its "physical world" is a pre-generated trace: row
 /// `e` of `trace` holds the values its sensors *would* read during epoch
 /// `e`. Energy is only charged for attributes the executing plan
-/// actually acquires.
+/// actually acquires. The trace is read-only and shared: motes that
+/// observe the same rows hold one allocation (see
+/// [`fleet_from_trace`](crate::sim::fleet_from_trace)).
 #[derive(Debug)]
 pub struct Mote {
     id: u16,
-    trace: Dataset,
+    trace: Arc<Dataset>,
     ledger: EnergyLedger,
 }
 
 impl Mote {
-    /// Creates a mote from its per-epoch trace.
-    pub fn new(id: u16, trace: Dataset) -> Self {
-        Mote { id, trace, ledger: EnergyLedger::default() }
+    /// Creates a mote from its per-epoch trace: an owned [`Dataset`],
+    /// or an `Arc` another mote already holds.
+    pub fn new(id: u16, trace: impl Into<Arc<Dataset>>) -> Self {
+        Mote { id, trace: trace.into(), ledger: EnergyLedger::default() }
     }
 
     /// Node identifier.
@@ -248,6 +253,17 @@ mod tests {
         assert_eq!(mote.ledger().sensing_uj, 200.0);
         assert_eq!(mote.ledger().board_uj, 500.0);
         assert_eq!(rec.drain().counter("sensornet.fault.sensing.aborts"), 1);
+    }
+
+    #[test]
+    fn every_mote_of_a_fleet_shares_one_trace_allocation() {
+        let (_, mote, _) = setup();
+        let fleet = crate::sim::fleet_from_trace(mote.trace(), 5);
+        assert_eq!(fleet.len(), 5);
+        assert!(fleet.iter().all(|m| Arc::ptr_eq(&m.trace, &fleet[0].trace)));
+        assert!(!Arc::ptr_eq(&fleet[0].trace, &mote.trace));
+        assert_eq!(Arc::strong_count(&fleet[0].trace), 5);
+        assert_eq!(fleet.iter().map(Mote::id).collect::<Vec<_>>(), [0, 1, 2, 3, 4]);
     }
 
     #[test]

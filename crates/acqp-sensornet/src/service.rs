@@ -356,7 +356,19 @@ struct LiveQuery {
     /// wiped to all-false by a crash (which is what forces the
     /// recovery re-dissemination).
     bs_known: Vec<bool>,
+    /// How many entries of `bs_known` are false: the motes the
+    /// re-dissemination pass still has to reach. Zero skips the query.
+    unvouched: usize,
     tally: Tally,
+}
+
+impl LiveQuery {
+    /// Wipes the basestation's belief about which motes hold the plan,
+    /// so the re-dissemination pass reaches every mote again.
+    fn unvouch_all(&mut self) {
+        self.bs_known.fill(false);
+        self.unvouched = self.bs_known.len();
+    }
 }
 
 /// A live query's per-slot accounting, kept apart from its plan state
@@ -565,14 +577,11 @@ pub fn run_service_with(
             rows: Vec::new(),
         })
         .collect();
-    // Arrivals by admission epoch, preserving schedule order within an
-    // epoch (the arbitration order).
-    let mut arrivals: Vec<Vec<usize>> = vec![Vec::new(); epochs];
-    for (i, s) in schedule.iter().enumerate() {
-        if s.admit < epochs {
-            arrivals[s.admit].push(i);
-        }
-    }
+    // Arrivals by admission epoch; the sort is stable, so schedule
+    // order (the arbitration order) holds within an epoch.
+    let mut arrivals: Vec<usize> =
+        (0..schedule.len()).filter(|&i| schedule[i].admit < epochs).collect();
+    arrivals.sort_by_key(|&i| schedule[i].admit);
     let engine = ServeEngine {
         schema,
         schedule,
@@ -591,6 +600,7 @@ pub fn run_service_with(
         cr,
         outcomes,
         arrivals,
+        next_arrival: 0,
         live: Vec::new(),
         queue: Vec::new(),
         slot_outs: Vec::new(),
@@ -683,8 +693,11 @@ struct ServeEngine<'a> {
     fstats: FaultStats,
     cr: CrashRuntime<'a>,
     outcomes: Vec<QueryOutcome>,
-    /// Schedule indices by arrival epoch, in schedule order.
-    arrivals: Vec<Vec<usize>>,
+    /// Schedule indices ordered by arrival epoch, in schedule order
+    /// within an epoch.
+    arrivals: Vec<usize>,
+    /// The first entry of `arrivals` not yet queued.
+    next_arrival: usize,
     live: Vec<LiveQuery>,
     /// Admission queue, in schedule order.
     queue: Vec<Pending>,
@@ -762,9 +775,7 @@ impl ServeEngine<'_> {
     fn crash_and_recover(&mut self, e: usize) {
         let down_seq = self.flight.emit(e as u64, self.start_seq, "crash.down", &[]);
         for q in self.live.iter_mut() {
-            for k in q.bs_known.iter_mut() {
-                *k = false;
-            }
+            q.unvouch_all();
         }
         for p in self.queue.iter_mut() {
             p.plan = None;
@@ -864,7 +875,7 @@ impl ServeEngine<'_> {
         let Self { live, motes, opts, fstats, flight, m, model, bs_tx_uj, cr, start_seq, .. } =
             self;
         let faults = &opts.faults;
-        for q in live.iter_mut() {
+        for q in live.iter_mut().filter(|q| q.unvouched > 0) {
             let wire_len = q.planned.wire.len();
             for (mi, mote) in motes.iter_mut().enumerate() {
                 if q.bs_known[mi] || !faults.online(mote.id(), e) {
@@ -881,6 +892,7 @@ impl ServeEngine<'_> {
                     delta += wire_len as f64 * model.radio_rx_uj_per_byte;
                     q.mote_has[mi] = true;
                     q.bs_known[mi] = true;
+                    q.unvouched -= 1;
                 }
                 if crashed {
                     cr.recovery_rediss_uj += delta;
@@ -893,7 +905,11 @@ impl ServeEngine<'_> {
     /// run, and admits from the queue in schedule order under the
     /// policy's budget and fairness rules.
     fn admissions(&mut self, e: usize) -> Result<()> {
-        for idx in std::mem::take(&mut self.arrivals[e]) {
+        while let Some(&idx) = self.arrivals.get(self.next_arrival) {
+            if self.schedule[idx].admit > e {
+                break;
+            }
+            self.next_arrival += 1;
             let sig = self.schedule[idx].query.signature();
             self.queue.push(Pending { idx, sig, plan: None });
         }
@@ -1067,6 +1083,7 @@ impl ServeEngine<'_> {
             subproblems: plan.subproblems,
             prepared,
             bs_known: mote_has.clone(),
+            unvouched: mote_has.iter().filter(|&&has| !has).count(),
             mote_has,
             tally,
         });
@@ -1304,7 +1321,7 @@ impl ServeEngine<'_> {
             q.planned = plan.planned;
             q.prepared = prepared;
             q.mote_has.fill(false);
-            q.bs_known.fill(false);
+            q.unvouch_all();
         }
         Ok(())
     }
@@ -1947,6 +1964,70 @@ mod tests {
         .unwrap();
         assert!(rep.queries.iter().all(|q| !q.admitted));
         assert_eq!(rep.network.total_uj(), 0.0);
+    }
+
+    /// Entries sharing an admission epoch but listed out of order
+    /// among other epochs' entries reach the policy in schedule order,
+    /// epoch by epoch.
+    #[test]
+    fn same_epoch_arrivals_are_admitted_in_schedule_order() {
+        /// A [`PlainPlanner`] that logs every admission it plans.
+        struct Logged<'h>(PlainPlanner<'h>, Vec<(u64, usize)>);
+
+        impl ServePlanner for Logged<'_> {
+            fn plan_admitted(&mut self, query: &Query, epoch: usize) -> Result<AdmittedPlan> {
+                self.1.push((query.signature(), epoch));
+                self.0.plan_admitted(query, epoch)
+            }
+
+            fn query_completed(&mut self, _: &Query, _: usize, _: &[(u64, u64)]) -> u64 {
+                0
+            }
+
+            fn stats_epoch(&self) -> u64 {
+                0
+            }
+        }
+
+        let (schema, data, query) = setup();
+        let queries = [
+            query,
+            Query::new(vec![Pred::in_range(0, 1, 1)]).unwrap(),
+            Query::new(vec![Pred::in_range(1, 1, 1)]).unwrap(),
+            Query::new(vec![Pred::in_range(2, 0, 0)]).unwrap(),
+            Query::new(vec![Pred::in_range(0, 0, 0)]).unwrap(),
+        ];
+        let mut sigs: Vec<u64> = queries.iter().map(Query::signature).collect();
+        sigs.sort_unstable();
+        sigs.dedup();
+        assert_eq!(sigs.len(), queries.len(), "the log tells the entries apart by signature");
+        let admits = [5, 2, 5, 2, 5];
+        let schedule: Vec<ScheduleEntry> = queries
+            .iter()
+            .zip(admits)
+            .map(|(q, admit)| ScheduleEntry::new(q.clone(), admit, 3))
+            .collect();
+        let mut planner = Logged(
+            PlainPlanner { bs: Basestation::new(schema.clone(), &data), alpha: 0.0 },
+            vec![],
+        );
+        let mut fleet = fleet_from_trace(&data, 2);
+        let rep = run_service_with(
+            &schema,
+            &schedule,
+            &mut planner,
+            &mut fleet,
+            &EnergyModel::mica_like(),
+            10,
+            ExecMode::Scalar,
+            &Recorder::disabled(),
+            &ServiceOptions::default(),
+        )
+        .unwrap();
+        assert!(rep.queries.iter().all(|q| q.admitted));
+        let expected: Vec<(u64, usize)> =
+            [1, 3, 0, 2, 4].iter().map(|&i| (queries[i].signature(), admits[i])).collect();
+        assert_eq!(planner.1, expected);
     }
 
     /// A zero-rate fault model with its own seed, plus `collect_rows`,

@@ -38,6 +38,8 @@
 //! current plan to every mote it no longer knows about — real radio
 //! energy, charged like any other dissemination.
 
+use std::sync::Arc;
+
 use acqp_core::drift::DriftMonitor;
 use acqp_core::prelude::{estimated_selectivities, CountingEstimator, Ranges};
 use acqp_core::{
@@ -1092,9 +1094,11 @@ fn plan_record(version: usize, p: &PlannedQuery) -> PlanRecord {
 
 /// Builds a fleet of `n` motes that all observe the given trace: in the
 /// Garden model every mote evaluates the *network-wide* tuple, so each
-/// mote is handed the same epoch rows.
+/// mote is handed the same epoch rows. The trace is cloned once and
+/// shared by the whole fleet.
 pub fn fleet_from_trace(trace: &Dataset, n: u16) -> Vec<Mote> {
-    (0..n).map(|id| Mote::new(id, trace.clone())).collect()
+    let shared = Arc::new(trace.clone());
+    (0..n).map(|id| Mote::new(id, Arc::clone(&shared))).collect()
 }
 
 #[cfg(test)]
