@@ -5,8 +5,8 @@
 //! Acceptance gates for the `acqp-obs` layer: the no-op-sink run and
 //! the flight-recorder run must each stay within 2% of the disabled run
 //! (the planner's hot loops pre-hoist every instrument, so the
-//! per-subproblem cost is a handful of relaxed atomic adds; the flight
-//! ring takes one mutex + a few pushes per *plan*, not per subproblem).
+//! per-subproblem cost is a handful of plain adds to cells; the flight
+//! ring takes a few pushes per *plan*, not per subproblem).
 //! The JSON sink is allowed to cost more — it is I/O.
 //!
 //! Env: `ACQP_QUERIES` (default 8), `ACQP_REPS` (default 3),

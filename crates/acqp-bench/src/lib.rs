@@ -118,7 +118,10 @@ pub struct Cell {
 }
 
 /// Runs every algorithm on every query, train→plan / test→measure, in
-/// parallel over queries.
+/// parallel over queries. Each worker plans with its own estimators and
+/// returns its cells through its join handle; the only state the
+/// workers share is the index of the next query. Cells come back sorted
+/// by `(query, algo)`.
 pub fn run_batch(
     schema: &Schema,
     queries: &[Query],
@@ -128,38 +131,37 @@ pub fn run_batch(
 ) -> Vec<Cell> {
     let threads = std::thread::available_parallelism().map_or(4, |n| n.get()).min(16);
     let next = std::sync::atomic::AtomicUsize::new(0);
-    let cells = NoPoisonMutex::new(Vec::<Cell>::new());
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                let qi = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if qi >= queries.len() {
-                    break;
-                }
-                let query = &queries[qi];
-                let mut local = Vec::with_capacity(algos.len());
-                for algo in algos {
-                    let (plan, exact) = algo
-                        .plan(schema, query, train)
-                        .unwrap_or_else(|e| panic!("{} failed on query {qi}: {e}", algo.label()));
-                    let tr = measure(&plan, query, schema, train);
-                    let te = measure(&plan, query, schema, test);
-                    local.push(Cell {
-                        query_idx: qi,
-                        algo: algo.label(),
-                        test_cost: te.mean_cost,
-                        train_cost: tr.mean_cost,
-                        splits: plan.split_count(),
-                        wire_size: plan.wire_size(),
-                        correct: tr.all_correct && te.all_correct,
-                        exact,
-                    });
-                }
-                cells.lock().extend(local);
-            });
+    let worker = || {
+        let mut cells = Vec::new();
+        loop {
+            let qi = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let Some(query) = queries.get(qi) else { return cells };
+            for algo in algos {
+                let (plan, exact) = algo
+                    .plan(schema, query, train)
+                    .unwrap_or_else(|e| panic!("{} failed on query {qi}: {e}", algo.label()));
+                let tr = measure(&plan, query, schema, train);
+                let te = measure(&plan, query, schema, test);
+                cells.push(Cell {
+                    query_idx: qi,
+                    algo: algo.label(),
+                    test_cost: te.mean_cost,
+                    train_cost: tr.mean_cost,
+                    splits: plan.split_count(),
+                    wire_size: plan.wire_size(),
+                    correct: tr.all_correct && te.all_correct,
+                    exact,
+                });
+            }
         }
+    };
+    let mut out: Vec<Cell> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads).map(|_| s.spawn(worker)).collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
     });
-    let mut out = cells.into_inner();
     out.sort_by(|a, b| (a.query_idx, &a.algo).cmp(&(b.query_idx, &b.algo)));
     out
 }

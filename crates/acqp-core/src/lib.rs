@@ -90,7 +90,6 @@ pub mod prob;
 pub mod query;
 pub mod range;
 pub mod regret;
-pub mod sync;
 
 /// Convenient glob-import of the public API.
 pub mod prelude {
@@ -127,7 +126,6 @@ pub mod prelude {
     pub use crate::query::{Pred, Query};
     pub use crate::range::{Range, Ranges};
     pub use crate::regret::{regret_report, NodeCostRow, PredRegret, RegretReport};
-    pub use crate::sync::NoPoisonMutex;
 }
 
 pub use prelude::*;

@@ -9,7 +9,8 @@
 //! cached, so building a conditioned joint truth distribution is a gather
 //! plus an aggregation.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use acqp_obs::{Counter, Recorder};
 
@@ -18,14 +19,13 @@ use crate::dataset::Dataset;
 use crate::prob::{Estimator, TruthTable};
 use crate::query::Query;
 use crate::range::{Range, Ranges};
-use crate::sync::NoPoisonMutex;
 
 /// A conditioned view of the dataset: range constraints plus the rows
 /// that satisfy them.
 #[derive(Debug, Clone)]
 pub struct CountingCtx {
     ranges: Ranges,
-    rows: Arc<Vec<u32>>,
+    rows: Rc<Vec<u32>>,
 }
 
 impl CountingCtx {
@@ -39,10 +39,10 @@ impl CountingCtx {
 pub struct CountingEstimator<'d> {
     data: &'d Dataset,
     root_ranges: Ranges,
-    /// Memoized per-row truth bitmasks for the most recent query,
-    /// behind a non-poisoning mutex so the estimator stays `Sync` and
-    /// usable after a caught panic mid-search.
-    mask_cache: NoPoisonMutex<Option<(Query, Arc<Vec<u64>>)>>,
+    /// Memoized per-row truth bitmasks for the most recent query. A
+    /// `RefCell` has no poisoning, so the cache stays usable after a
+    /// panic that the fallback ladder catches mid-search.
+    mask_cache: RefCell<Option<(Query, Rc<Vec<u64>>)>>,
     /// `estimator.mask_cache.hit` — lookups served from the cache.
     cache_hit: Counter,
     /// `estimator.mask_cache.miss` — lookups that rebuilt the masks.
@@ -75,7 +75,7 @@ impl<'d> CountingEstimator<'d> {
         CountingEstimator {
             data,
             root_ranges: ranges,
-            mask_cache: NoPoisonMutex::new(None),
+            mask_cache: RefCell::new(None),
             cache_hit: Counter::new(),
             cache_miss: Counter::new(),
         }
@@ -101,7 +101,7 @@ impl<'d> CountingEstimator<'d> {
     /// estimator's learned statistic worth checkpointing — recomputing
     /// it is one full pass over the dataset per query.
     pub fn cached_masks(&self) -> Option<(Query, Vec<u64>)> {
-        let cache = self.mask_cache.lock();
+        let cache = self.mask_cache.borrow();
         cache.as_ref().map(|(q, m)| (q.clone(), m.as_ref().clone()))
     }
 
@@ -114,24 +114,23 @@ impl<'d> CountingEstimator<'d> {
         if masks.len() != self.data.len() {
             return false;
         }
-        let mut cache = self.mask_cache.lock();
-        *cache = Some((query, Arc::new(masks)));
+        *self.mask_cache.borrow_mut() = Some((query, Rc::new(masks)));
         true
     }
 
-    fn masks_for(&self, query: &Query) -> Arc<Vec<u64>> {
-        let mut cache = self.mask_cache.lock();
+    fn masks_for(&self, query: &Query) -> Rc<Vec<u64>> {
+        let mut cache = self.mask_cache.borrow_mut();
         if let Some((q, masks)) = cache.as_ref() {
             if q == query {
                 self.cache_hit.incr(1);
-                return Arc::clone(masks);
+                return Rc::clone(masks);
             }
         }
         self.cache_miss.incr(1);
         let masks: Vec<u64> =
             (0..self.data.len()).map(|row| query.truth_mask(|a| self.data.value(row, a))).collect();
-        let masks = Arc::new(masks);
-        *cache = Some((query.clone(), Arc::clone(&masks)));
+        let masks = Rc::new(masks);
+        *cache = Some((query.clone(), Rc::clone(&masks)));
         masks
     }
 }
@@ -142,7 +141,7 @@ impl Estimator for CountingEstimator<'_> {
     fn root(&self) -> CountingCtx {
         CountingCtx {
             ranges: self.root_ranges.clone(),
-            rows: Arc::new((0..self.data.len() as u32).collect()),
+            rows: Rc::new((0..self.data.len() as u32).collect()),
         }
     }
 
@@ -151,7 +150,7 @@ impl Estimator for CountingEstimator<'_> {
         let col = self.data.column(attr);
         let rows: Vec<u32> =
             ctx.rows.iter().copied().filter(|&i| r.contains(col[i as usize])).collect();
-        CountingCtx { ranges: ctx.ranges.with(attr, r), rows: Arc::new(rows) }
+        CountingCtx { ranges: ctx.ranges.with(attr, r), rows: Rc::new(rows) }
     }
 
     fn ranges<'c>(&self, ctx: &'c CountingCtx) -> &'c Ranges {
@@ -388,6 +387,33 @@ mod tests {
         let thin = Dataset::from_rows(&schema, vec![vec![0, 0, 0]]).unwrap();
         let other = CountingEstimator::with_ranges(&thin, Ranges::root(&schema));
         assert!(!other.seed_masks(q, vec![0; 99]));
+    }
+
+    /// The fallback ladder catches a panicking rung and plans on with
+    /// the same estimator, so a panic while the mask cache is borrowed
+    /// must leave the cache usable and its masks intact.
+    #[test]
+    fn mask_cache_survives_a_panicking_borrower() {
+        let (schema, data) = setup();
+        let est = CountingEstimator::with_ranges(&data, Ranges::root(&schema));
+        let q = Query::new(vec![Pred::in_range(0, 0, 1), Pred::in_range(1, 0, 1)]).unwrap();
+        let masks_of = |q: &Query| -> Vec<u64> {
+            (0..data.len()).map(|row| q.truth_mask(|a| data.value(row, a))).collect()
+        };
+        let root = est.root();
+        let before = est.truth_table(&root, &q);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _cache = est.mask_cache.borrow_mut();
+            panic!("a planner rung died holding the mask cache");
+        }));
+        assert!(result.is_err());
+        assert_eq!(est.cached_masks(), Some((q.clone(), masks_of(&q))));
+        assert_eq!(*est.masks_for(&q), masks_of(&q));
+        assert_eq!(est.truth_table(&root, &q), before);
+        // A different query still rebuilds the cache.
+        let q2 = Query::new(vec![Pred::in_range(2, 1, 1)]).unwrap();
+        assert_eq!(*est.masks_for(&q2), masks_of(&q2));
+        assert_eq!(est.cached_masks(), Some((q2.clone(), masks_of(&q2))));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! beneficial split and the planner collapses to the `Naive`-style
 //! marginal ordering.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use crate::attr::AttrId;
 use crate::dataset::Dataset;
@@ -25,7 +25,7 @@ pub struct IndepCtx {
     ranges: Ranges,
     /// Probability mass of each attribute's current range under its
     /// marginal (cached so `mass` is O(1) after refinement).
-    range_mass: Arc<Vec<f64>>,
+    range_mass: Rc<Vec<f64>>,
 }
 
 /// Estimates probabilities from per-attribute marginal histograms,
@@ -73,14 +73,14 @@ impl Estimator for IndependenceEstimator {
         let mass = (0..self.root_ranges.len())
             .map(|a| self.range_mass(a, self.root_ranges.get(a)))
             .collect();
-        IndepCtx { ranges: self.root_ranges.clone(), range_mass: Arc::new(mass) }
+        IndepCtx { ranges: self.root_ranges.clone(), range_mass: Rc::new(mass) }
     }
 
     fn refine(&self, ctx: &IndepCtx, attr: AttrId, r: Range) -> IndepCtx {
         debug_assert!(ctx.ranges.get(attr).contains_range(r));
         let mut mass = ctx.range_mass.as_ref().clone();
         mass[attr] = self.range_mass(attr, r);
-        IndepCtx { ranges: ctx.ranges.with(attr, r), range_mass: Arc::new(mass) }
+        IndepCtx { ranges: ctx.ranges.with(attr, r), range_mass: Rc::new(mass) }
     }
 
     fn ranges<'c>(&self, ctx: &'c IndepCtx) -> &'c Ranges {

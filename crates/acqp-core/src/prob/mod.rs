@@ -38,12 +38,12 @@ pub type CtxId = usize;
 /// Contexts are refined functionally: [`Estimator::refine`] returns a new
 /// context conditioned on one additional range.
 ///
-/// Estimators are `Sync` and contexts are `Send + Sync`, so one
-/// estimator can be shared by reference across threads; plan search
-/// itself runs on one thread.
-pub trait Estimator: Sync {
+/// Plan search runs on one thread, so an estimator is single-owner: it
+/// may keep interior-mutable caches (`RefCell`) and single-owner
+/// instruments, and its contexts may share data through `Rc`.
+pub trait Estimator {
     /// Conditioning context; cheap to clone.
-    type Ctx: Clone + Send + Sync;
+    type Ctx: Clone;
 
     /// The unconditioned model (every attribute spans its full domain).
     fn root(&self) -> Self::Ctx;

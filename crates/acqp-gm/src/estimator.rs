@@ -8,7 +8,7 @@
 //! with every conditioning split (§7's motivation).
 
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use acqp_core::{AttrId, Estimator, Query, Range, Ranges, TruthTable};
 use acqp_obs::{Counter, Recorder};
@@ -23,9 +23,9 @@ pub struct GmCtx {
     ranges: Ranges,
     mass: f64,
     /// Exact conditioned marginals per attribute.
-    marginals: Arc<Vec<Vec<f64>>>,
+    marginals: Rc<Vec<Vec<f64>>>,
     /// Column-major conditional sample (`samples[attr][i]`).
-    samples: Arc<Vec<Vec<u16>>>,
+    samples: Rc<Vec<Vec<u16>>>,
 }
 
 impl GmCtx {
@@ -81,7 +81,7 @@ impl<'t> GmEstimator<'t> {
             }
         }
         let marginals = (0..n).map(|i| cond.marginal(i).to_vec()).collect();
-        GmCtx { ranges, mass, marginals: Arc::new(marginals), samples: Arc::new(cols) }
+        GmCtx { ranges, mass, marginals: Rc::new(marginals), samples: Rc::new(cols) }
     }
 }
 

@@ -89,16 +89,14 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "raw-mutex",
         severity: Severity::Error,
-        summary: "library code must use sync::NoPoisonMutex, not std::sync::Mutex",
-        explain: "A worker that panics while holding a std::sync::Mutex poisons it, and every \
-                  later lock().unwrap() turns one isolated worker failure into a process-wide \
-                  abort — exactly what the panic-isolated planners and the crash-safe \
-                  basestation (PRs 1 and 4) exist to prevent. Library code shares caches of \
-                  pure-function results across panic-isolated workers, so it must lock through \
-                  acqp_core::sync::NoPoisonMutex, which recovers the guard instead of \
-                  propagating poison. Crates that sit below acqp-core in the dependency graph \
-                  (acqp-obs) may keep std's mutex with \
-                  `// acqp-lint: allow(raw-mutex): <reason>`.",
+        summary: "library code is single-owner: use Cell/RefCell, not std::sync::Mutex",
+        explain: "Library code runs on one thread: planners, estimators, executors, the \
+                  simulator and the serve loop each own their state, so interior mutability \
+                  is a Cell or RefCell, never a lock. A std::sync::Mutex in library code is \
+                  either dead weight or a sign that state is being shared across threads, and \
+                  it poisons on panic, turning one caught failure into an abort on every later \
+                  lock().unwrap(). A Mutex that must stay (an I/O sink shared through \
+                  `Arc<dyn Sink>`) needs `// acqp-lint: allow(raw-mutex): <reason>`.",
     },
     RuleInfo {
         id: "panic-in-lib",
@@ -369,7 +367,7 @@ pub fn check_file(ctx: &FileCtx<'_>) -> (Vec<Finding>, Vec<usize>) {
         );
     }
 
-    if lib && ctx.relpath != "crates/acqp-core/src/sync.rs" {
+    if lib {
         check_raw_mutex(ctx, &mut findings, &mut used);
     }
 
@@ -445,7 +443,8 @@ fn check_raw_mutex(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>, used: &mut Ve
             RULE,
             Severity::Error,
             line,
-            "std::sync::Mutex poisons on panic — use acqp_core::sync::NoPoisonMutex".to_string(),
+            "library code is single-owner — use Cell/RefCell, or justify the Mutex with an allow"
+                .to_string(),
         ));
     }
 }
@@ -573,14 +572,8 @@ mod tests {
         assert_eq!(f.len(), 1);
         let f = run(
             "x/src/a.rs",
-            "use std::sync::{Arc, MutexGuard, PoisonError};\nuse crate::NoPoisonMutex;\n",
+            "use std::sync::{Arc, MutexGuard, PoisonError};\nuse std::cell::RefCell;\n",
         );
-        assert!(f.is_empty(), "{f:?}");
-    }
-
-    #[test]
-    fn sync_rs_is_exempt_from_raw_mutex() {
-        let f = run("crates/acqp-core/src/sync.rs", "use std::sync::{Mutex, MutexGuard};\n");
         assert!(f.is_empty(), "{f:?}");
     }
 

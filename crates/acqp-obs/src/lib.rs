@@ -8,23 +8,25 @@
 //! (the build has no registry access — the same constraint that produced
 //! the `vendor/*` stand-ins):
 //!
-//! * [`Counter`] — a monotonically increasing `u64`, striped over
-//!   per-thread shards so concurrent recorders (batch workers, parallel
-//!   replays) record without contention; shards are summed on [`Recorder::drain`].
+//! * [`Counter`] — a monotonically increasing `u64` in one shared
+//!   [`Cell`]; handles cloned from the registry add to the same total.
 //! * [`FloatCounter`] — the same for `f64` accumulation (energy in µJ,
-//!   accrued acquisition cost), implemented as a CAS loop over bit
-//!   patterns.
+//!   accrued acquisition cost).
 //! * [`Hist`] — a fixed-bucket power-of-two histogram (`le_1`, `le_2`,
 //!   `le_4`, …), for per-tuple cost and per-span latency distributions.
 //! * [`Span`] — an RAII timer over the monotonic clock
 //!   ([`std::time::Instant`]); dropping the guard records the elapsed
 //!   microseconds and streams an event to the sink.
-//! * [`Recorder`] — the `Sync` handle tying it together. A *disabled*
+//! * [`Recorder`] — the handle tying it together. A *disabled*
 //!   recorder ([`Recorder::disabled`]) hands out detached instruments:
-//!   every record call is a branch or a relaxed atomic add and nothing
+//!   every record call is a branch or a plain add to a cell and nothing
 //!   is ever drained, so instrumented code needs no `if` guards and the
 //!   default (no-op) configuration costs well under the 2% overhead
 //!   budget (see `DESIGN.md` §8).
+//!
+//! Instruments and recorders are single-owner (`!Send`): the planners,
+//! executors and simulator that record through them run on one thread.
+//! Only sinks are `Send + Sync`, so one sink can be shared by `Arc`.
 //!
 //! Metrics flow to a pluggable [`Sink`]: [`NoopSink`] (default),
 //! [`JsonLinesSink`] (one JSON object per line: `{"span": name,
@@ -48,55 +50,21 @@ pub mod trace;
 pub use sink::{JsonLinesSink, MemorySink, NoopSink, Sink, SpanEvent};
 pub use trace::{FlightRecorder, TraceEvent, TraceValue, DEFAULT_FLIGHT_CAP};
 
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-// acqp-lint: allow(raw-mutex): acqp-obs sits below acqp-core in the dependency graph, so NoPoisonMutex is out of reach; no lock here is held across user code that could panic
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
+use std::sync::Arc;
 use std::time::Instant;
-
-/// Number of stripes per instrument. A power of two so the thread-shard
-/// hash reduces with a mask; 16 covers the planner's worker-pool cap.
-const SHARDS: usize = 16;
-
-/// Locks `m`, recovering the guard from a poisoned mutex instead of
-/// panicking. Observability must never turn one isolated worker panic
-/// into a process-wide abort: the instrument tables stay well-formed
-/// under poison (every update is a single insert or field bump), so the
-/// recovered guard is safe to use.
-pub(crate) fn lock_unpoisoned<T: ?Sized>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// Histogram bucket count: bucket `i` counts values `<= 2^i`, the last
 /// bucket is the overflow (`+inf`) bucket.
 const HIST_BUCKETS: usize = 32;
 
-thread_local! {
-    /// This thread's stripe index, assigned round-robin on first use.
-    static THREAD_SHARD: usize = {
-        static NEXT: AtomicUsize = AtomicUsize::new(0);
-        NEXT.fetch_add(1, Ordering::Relaxed) % SHARDS
-    };
-}
-
-#[inline]
-fn shard_index() -> usize {
-    THREAD_SHARD.with(|s| *s)
-}
-
-/// A cache-line-padded atomic cell, so neighbouring stripes do not
-/// false-share.
-#[repr(align(64))]
-#[derive(Default)]
-struct PaddedU64(AtomicU64);
-
-/// A monotonically increasing counter striped over per-thread shards.
-///
-/// `incr` is a single relaxed atomic add on the calling thread's stripe;
-/// `value` sums the stripes (drain-time only).
+/// A monotonically increasing counter. Clones share one cell, so a
+/// handle looked up once records into the registered total.
 #[derive(Clone, Default)]
 pub struct Counter {
-    shards: Arc<[PaddedU64; SHARDS]>,
+    cell: Rc<Cell<u64>>,
 }
 
 impl Counter {
@@ -108,12 +76,12 @@ impl Counter {
     /// Adds `n`.
     #[inline]
     pub fn incr(&self, n: u64) {
-        self.shards[shard_index()].0.fetch_add(n, Ordering::Relaxed);
+        self.cell.set(self.cell.get().wrapping_add(n));
     }
 
-    /// Current total across all stripes.
+    /// Current total.
     pub fn value(&self) -> u64 {
-        self.shards.iter().map(|s| s.0.load(Ordering::Relaxed)).sum()
+        self.cell.get()
     }
 }
 
@@ -123,10 +91,10 @@ impl std::fmt::Debug for Counter {
     }
 }
 
-/// A float accumulator striped like [`Counter`], for energy/cost sums.
+/// A float accumulator like [`Counter`], for energy/cost sums.
 #[derive(Clone, Default)]
 pub struct FloatCounter {
-    shards: Arc<[PaddedU64; SHARDS]>,
+    cell: Rc<Cell<f64>>,
 }
 
 impl FloatCounter {
@@ -135,23 +103,15 @@ impl FloatCounter {
         FloatCounter::default()
     }
 
-    /// Adds `v` (CAS loop over the stripe's bit pattern).
+    /// Adds `v`.
     #[inline]
     pub fn add(&self, v: f64) {
-        let cell = &self.shards[shard_index()].0;
-        let mut cur = cell.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + v).to_bits();
-            match cell.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return,
-                Err(now) => cur = now,
-            }
-        }
+        self.cell.set(self.cell.get() + v);
     }
 
-    /// Current total across all stripes.
+    /// Current total.
     pub fn value(&self) -> f64 {
-        self.shards.iter().map(|s| f64::from_bits(s.0.load(Ordering::Relaxed))).sum()
+        self.cell.get()
     }
 }
 
@@ -161,16 +121,20 @@ impl std::fmt::Debug for FloatCounter {
     }
 }
 
+/// Bucket counts, observation count and sum behind one [`Hist`].
+#[derive(Default)]
+struct HistCells {
+    buckets: [Cell<u64>; HIST_BUCKETS],
+    count: Cell<u64>,
+    sum: Cell<u64>,
+}
+
 /// A fixed-bucket histogram over `u64` values with power-of-two bucket
 /// bounds: bucket `i` counts observations `v` with `v <= 2^i`; the last
-/// bucket absorbs everything larger. Buckets are plain atomics (not
-/// striped): a histogram observation is already rarer than a counter
-/// bump, and contention on one bucket is harmless.
+/// bucket absorbs everything larger.
 #[derive(Clone, Default)]
 pub struct Hist {
-    buckets: Arc<[AtomicU64; HIST_BUCKETS]>,
-    count: Arc<AtomicU64>,
-    sum: Arc<AtomicU64>,
+    cells: Rc<HistCells>,
 }
 
 impl Hist {
@@ -184,19 +148,22 @@ impl Hist {
     pub fn observe(&self, v: u64) {
         // Smallest i with v <= 2^i (v = 0 and 1 both land in `le_1`).
         let b = (64 - v.saturating_sub(1).leading_zeros() as usize).min(HIST_BUCKETS - 1);
-        self.buckets[b].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
+        let c = &self.cells;
+        c.buckets[b].set(c.buckets[b].get() + 1);
+        c.count.set(c.count.get() + 1);
+        // `u64::MAX` is a legal observation: an overflowing sum wraps
+        // rather than aborting the run.
+        c.sum.set(c.sum.get().wrapping_add(v));
     }
 
     /// Number of observations.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.cells.count.get()
     }
 
     /// Sum of all observed values.
     pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
+        self.cells.sum.get()
     }
 
     /// Nearest-rank percentile estimate: the power-of-two upper bound
@@ -205,9 +172,8 @@ impl Hist {
     /// is plenty for the latency/cost tails bench gates care about.
     /// Returns 0 when nothing was observed.
     pub fn percentile(&self, q: f64) -> u64 {
-        let counts: Vec<u64> = self.buckets.iter().map(|c| c.load(Ordering::Relaxed)).collect();
         percentile_from_buckets(
-            counts.iter().enumerate().map(|(i, n)| (1u64 << i.min(63), *n)),
+            self.cells.buckets.iter().enumerate().map(|(i, n)| (1u64 << i.min(63), n.get())),
             self.count(),
             q,
         )
@@ -230,11 +196,12 @@ impl Hist {
 
     /// `(upper_bound, count)` per non-empty bucket.
     pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
+        self.cells
+            .buckets
             .iter()
             .enumerate()
             .filter_map(|(i, c)| {
-                let n = c.load(Ordering::Relaxed);
+                let n = c.get();
                 // Same clamp as `percentile`: the two bucket views must
                 // agree on the bound of every bucket, whatever
                 // HIST_BUCKETS grows to.
@@ -291,7 +258,7 @@ pub struct SpanStat {
 /// sum of all observed values.
 pub type HistData = (Vec<(u64, u64)>, u64, u64);
 
-/// Everything a recorder accumulated, merged across shards. Maps are
+/// Everything a recorder accumulated. Maps are
 /// ordered so renderings and JSON emissions are deterministic.
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
@@ -375,26 +342,27 @@ impl Snapshot {
     }
 }
 
-/// Shared state behind an enabled [`Recorder`].
+/// The registry behind an enabled [`Recorder`].
 struct Inner {
     sink: Arc<dyn Sink>,
-    counters: Mutex<BTreeMap<String, Counter>>,
-    floats: Mutex<BTreeMap<String, FloatCounter>>,
-    hists: Mutex<BTreeMap<String, Hist>>,
-    gauges: Mutex<BTreeMap<String, f64>>,
-    spans: Mutex<BTreeMap<String, SpanStat>>,
+    counters: BTreeMap<String, Counter>,
+    floats: BTreeMap<String, FloatCounter>,
+    hists: BTreeMap<String, Hist>,
+    gauges: BTreeMap<String, f64>,
+    spans: BTreeMap<String, SpanStat>,
 }
 
-/// The `Sync` observability handle. Clones share the same registry, so a
+/// The observability handle. Clones share the same registry, so a
 /// recorder can be handed to planner, executor and simulator and drained
-/// once at the end.
+/// once at the end. It is single-owner: recorders and the instruments
+/// they hand out stay on the thread that created them.
 ///
 /// Instrument handles (`counter`, `float_counter`, `hist`) are meant to
 /// be hoisted out of hot loops: look the instrument up once, then record
-/// through the handle with no lock on the hot path.
+/// through the handle with no registry lookup on the hot path.
 #[derive(Clone, Default)]
 pub struct Recorder {
-    inner: Option<Arc<Inner>>,
+    inner: Option<Rc<RefCell<Inner>>>,
     flight: FlightRecorder,
 }
 
@@ -402,14 +370,14 @@ impl Recorder {
     /// A recorder draining to `sink`.
     pub fn new(sink: Arc<dyn Sink>) -> Self {
         Recorder {
-            inner: Some(Arc::new(Inner {
+            inner: Some(Rc::new(RefCell::new(Inner {
                 sink,
-                counters: Mutex::new(BTreeMap::new()),
-                floats: Mutex::new(BTreeMap::new()),
-                hists: Mutex::new(BTreeMap::new()),
-                gauges: Mutex::new(BTreeMap::new()),
-                spans: Mutex::new(BTreeMap::new()),
-            })),
+                counters: BTreeMap::new(),
+                floats: BTreeMap::new(),
+                hists: BTreeMap::new(),
+                gauges: BTreeMap::new(),
+                spans: BTreeMap::new(),
+            }))),
             flight: FlightRecorder::disabled(),
         }
     }
@@ -444,13 +412,11 @@ impl Recorder {
 
     /// The named counter, registered for drain (or detached when
     /// disabled). Repeated calls with the same name return handles over
-    /// the same stripes.
+    /// the same cell.
     pub fn counter(&self, name: &str) -> Counter {
         match &self.inner {
             None => Counter::new(),
-            Some(inner) => {
-                lock_unpoisoned(&inner.counters).entry(name.to_string()).or_default().clone()
-            }
+            Some(inner) => inner.borrow_mut().counters.entry(name.to_string()).or_default().clone(),
         }
     }
 
@@ -458,9 +424,7 @@ impl Recorder {
     pub fn float_counter(&self, name: &str) -> FloatCounter {
         match &self.inner {
             None => FloatCounter::new(),
-            Some(inner) => {
-                lock_unpoisoned(&inner.floats).entry(name.to_string()).or_default().clone()
-            }
+            Some(inner) => inner.borrow_mut().floats.entry(name.to_string()).or_default().clone(),
         }
     }
 
@@ -468,18 +432,15 @@ impl Recorder {
     pub fn hist(&self, name: &str) -> Hist {
         match &self.inner {
             None => Hist::new(),
-            Some(inner) => {
-                lock_unpoisoned(&inner.hists).entry(name.to_string()).or_default().clone()
-            }
+            Some(inner) => inner.borrow_mut().hists.entry(name.to_string()).or_default().clone(),
         }
     }
 
-    /// Sets a gauge — a value reported once at drain (per-shard memo
-    /// stats, per-mote energy totals, estimated selectivities). Last
-    /// write wins.
+    /// Sets a gauge — a value reported once at drain (per-mote energy
+    /// totals, estimated selectivities). Last write wins.
     pub fn gauge(&self, name: &str, value: f64) {
         if let Some(inner) = &self.inner {
-            lock_unpoisoned(&inner.gauges).insert(name.to_string(), value);
+            inner.borrow_mut().gauges.insert(name.to_string(), value);
         }
     }
 
@@ -496,13 +457,11 @@ impl Recorder {
 
     fn record_span(&self, path: &str, elapsed_us: u64) {
         if let Some(inner) = &self.inner {
-            {
-                let mut spans = lock_unpoisoned(&inner.spans);
-                let s = spans.entry(path.to_string()).or_default();
-                s.count += 1;
-                s.total_us += elapsed_us;
-                s.max_us = s.max_us.max(elapsed_us);
-            }
+            let mut inner = inner.borrow_mut();
+            let s = inner.spans.entry(path.to_string()).or_default();
+            s.count += 1;
+            s.total_us += elapsed_us;
+            s.max_us = s.max_us.max(elapsed_us);
             inner.sink.span_end(&SpanEvent { path: path.to_string(), elapsed_us });
         }
     }
@@ -512,20 +471,21 @@ impl Recorder {
     /// twice reports the same (or grown) values.
     pub fn drain(&self) -> Snapshot {
         let Some(inner) = &self.inner else { return Snapshot::default() };
+        let inner = inner.borrow();
         let mut snap = Snapshot::default();
-        for (name, c) in lock_unpoisoned(&inner.counters).iter() {
+        for (name, c) in &inner.counters {
             snap.counters.insert(name.clone(), c.value());
         }
-        for (name, c) in lock_unpoisoned(&inner.floats).iter() {
+        for (name, c) in &inner.floats {
             snap.values.insert(name.clone(), c.value());
         }
-        for (name, v) in lock_unpoisoned(&inner.gauges).iter() {
+        for (name, v) in &inner.gauges {
             snap.values.insert(name.clone(), *v);
         }
-        for (name, h) in lock_unpoisoned(&inner.hists).iter() {
+        for (name, h) in &inner.hists {
             snap.hists.insert(name.clone(), (h.nonzero_buckets(), h.count(), h.sum()));
         }
-        snap.spans = lock_unpoisoned(&inner.spans).clone();
+        snap.spans = inner.spans.clone();
         inner.sink.flush(&snap);
         snap
     }
@@ -560,35 +520,26 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_accumulates_across_threads() {
+    fn counter_accumulates_through_clones() {
         let c = Counter::new();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let c = c.clone();
-                s.spawn(move || {
-                    for _ in 0..1000 {
-                        c.incr(1);
-                    }
-                });
-            }
-        });
+        let c2 = c.clone();
+        for _ in 0..1000 {
+            c.incr(1);
+            c2.incr(3);
+        }
         assert_eq!(c.value(), 4000);
+        assert_eq!(c2.value(), 4000);
     }
 
     #[test]
     fn float_counter_accumulates() {
         let c = FloatCounter::new();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let c = c.clone();
-                s.spawn(move || {
-                    for _ in 0..100 {
-                        c.add(0.25);
-                    }
-                });
-            }
-        });
-        assert!((c.value() - 100.0).abs() < 1e-9);
+        let c2 = c.clone();
+        for _ in 0..200 {
+            c.add(0.25);
+            c2.add(0.25);
+        }
+        assert_eq!(c.value(), 100.0);
     }
 
     #[test]

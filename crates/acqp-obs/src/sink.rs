@@ -3,10 +3,17 @@
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
-// acqp-lint: allow(raw-mutex): acqp-obs sits below acqp-core in the dependency graph, so NoPoisonMutex is out of reach; sink locks only guard plain buffer writes
-use std::sync::Mutex;
+// acqp-lint: allow(raw-mutex): sinks are `Send + Sync` so one `Arc<dyn Sink>` can serve any recorder; each lock guards one plain buffer write and is recovered from poison
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use crate::{lock_unpoisoned, Snapshot};
+use crate::Snapshot;
+
+/// Locks `m`, recovering the guard from a poisoned mutex instead of
+/// panicking: every critical section here is a single push or write,
+/// so the buffer stays well-formed under poison.
+fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A completed span, streamed to the sink as it ends.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -26,15 +26,9 @@
 //! - [`FlightRecorder::to_timeline`] — an aligned human-readable text
 //!   timeline for the CLI.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::Arc;
-
-use crate::lock_unpoisoned;
-// acqp-obs sits below acqp-core in the dependency graph, so
-// NoPoisonMutex is out of reach; the ring lock only guards a plain
-// VecDeque push/pop and every critical section is panic-free.
-// acqp-lint: allow(raw-mutex): acqp-obs is below acqp-core; panic-free critical sections
-use std::sync::Mutex;
+use std::rc::Rc;
 
 use crate::sink::json_string;
 
@@ -149,9 +143,8 @@ impl TraceEvent {
     }
 }
 
-/// Ring state behind one enabled recorder: a single lock covers the
-/// buffer *and* the sequence counter, so sequence order is emission
-/// order even under concurrent emitters.
+/// Ring state behind one enabled recorder: the buffer and the sequence
+/// counter advance together, so sequence order is emission order.
 #[derive(Debug)]
 struct Ring {
     cap: usize,
@@ -169,7 +162,7 @@ pub const DEFAULT_FLIGHT_CAP: usize = 65_536;
 /// method is a no-op and `emit` returns 0.
 #[derive(Debug, Clone, Default)]
 pub struct FlightRecorder {
-    inner: Option<Arc<Mutex<Ring>>>,
+    inner: Option<Rc<RefCell<Ring>>>,
 }
 
 impl FlightRecorder {
@@ -177,7 +170,7 @@ impl FlightRecorder {
     /// least 1). Past the cap, the oldest event is evicted and counted.
     pub fn new(cap: usize) -> Self {
         FlightRecorder {
-            inner: Some(Arc::new(Mutex::new(Ring {
+            inner: Some(Rc::new(RefCell::new(Ring {
                 cap: cap.max(1),
                 next_seq: 1,
                 dropped: 0,
@@ -220,7 +213,7 @@ impl FlightRecorder {
         fields: Vec<(String, TraceValue)>,
     ) -> u64 {
         let Some(inner) = &self.inner else { return 0 };
-        let mut ring = lock_unpoisoned(inner);
+        let mut ring = inner.borrow_mut();
         let seq = ring.next_seq;
         ring.next_seq += 1;
         if ring.buf.len() == ring.cap {
@@ -235,7 +228,7 @@ impl FlightRecorder {
     pub fn events(&self) -> Vec<TraceEvent> {
         match &self.inner {
             None => Vec::new(),
-            Some(inner) => lock_unpoisoned(inner).buf.iter().cloned().collect(),
+            Some(inner) => inner.borrow().buf.iter().cloned().collect(),
         }
     }
 
@@ -243,7 +236,7 @@ impl FlightRecorder {
     pub fn dropped(&self) -> u64 {
         match &self.inner {
             None => 0,
-            Some(inner) => lock_unpoisoned(inner).dropped,
+            Some(inner) => inner.borrow().dropped,
         }
     }
 
@@ -251,7 +244,7 @@ impl FlightRecorder {
     pub fn len(&self) -> usize {
         match &self.inner {
             None => 0,
-            Some(inner) => lock_unpoisoned(inner).buf.len(),
+            Some(inner) => inner.borrow().buf.len(),
         }
     }
 
@@ -264,7 +257,7 @@ impl FlightRecorder {
     pub fn emitted(&self) -> u64 {
         match &self.inner {
             None => 0,
-            Some(inner) => lock_unpoisoned(inner).next_seq - 1,
+            Some(inner) => inner.borrow().next_seq - 1,
         }
     }
 
@@ -272,7 +265,7 @@ impl FlightRecorder {
     pub fn cap(&self) -> usize {
         match &self.inner {
             None => 0,
-            Some(inner) => lock_unpoisoned(inner).cap,
+            Some(inner) => inner.borrow().cap,
         }
     }
 

@@ -42,11 +42,12 @@ pub struct CheckpointStore {
     frame: Vec<u8>,
 }
 
-/// What [`CheckpointStore::recover`] found.
+/// What [`CheckpointStore::recover`] (or, with `C` =
+/// [`ServeCheckpoint`], [`CheckpointStore::recover_serve`]) found.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RecoveryOutcome {
+pub struct RecoveryOutcome<C = BasestationCheckpoint> {
     /// The newest snapshot that validated, if any.
-    pub checkpoint: Option<BasestationCheckpoint>,
+    pub checkpoint: Option<C>,
     /// WAL records to apply on top, in order. With a checkpoint these
     /// are exactly the records with `seq > checkpoint.last_seq`; on a
     /// cold start they are the full valid prefix, to be applied onto
@@ -68,27 +69,40 @@ pub struct RecoveryOutcome {
 }
 
 /// What [`CheckpointStore::recover_serve`] found — the serve-state
-/// mirror of [`RecoveryOutcome`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeRecoveryOutcome {
-    /// The newest serve snapshot that validated, if any.
-    pub checkpoint: Option<ServeCheckpoint>,
-    /// WAL records to apply on top, in order (full valid prefix on a
-    /// cold start).
-    pub replayed: Vec<WalRecord>,
-    /// Snapshot files present but failing validation.
-    pub corrupt_snapshots: usize,
-    /// Snapshot files examined before one validated or candidates ran
-    /// out.
-    pub snapshots_scanned: usize,
-    /// True if the WAL ended in invalid bytes.
-    pub corrupt_wal_tail: bool,
-    /// True if no snapshot validated.
-    pub cold_start: bool,
+/// flavor of [`RecoveryOutcome`].
+pub type ServeRecoveryOutcome = RecoveryOutcome<ServeCheckpoint>;
+
+impl<C> RecoveryOutcome<C> {
+    /// The outcome of a restart with nothing persisted: a cold start
+    /// with nothing to replay.
+    pub fn genesis() -> Self {
+        RecoveryOutcome {
+            checkpoint: None,
+            replayed: Vec::new(),
+            corrupt_snapshots: 0,
+            snapshots_scanned: 0,
+            corrupt_wal_tail: false,
+            cold_start: true,
+        }
+    }
 }
 
 fn snap_index(name: &str) -> Option<u64> {
     name.strip_prefix(SNAP_PREFIX)?.parse().ok()
+}
+
+/// The snapshot files in `dir` (created if missing), newest first.
+fn snapshots(dir: &Path) -> Result<Vec<(u64, PathBuf)>> {
+    std::fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
+    let mut snaps = Vec::new();
+    for entry in std::fs::read_dir(dir).map_err(|e| io_err(dir, e))? {
+        let entry = entry.map_err(|e| io_err(dir, e))?;
+        if let Some(idx) = entry.file_name().to_str().and_then(snap_index) {
+            snaps.push((idx, entry.path()));
+        }
+    }
+    snaps.sort_by_key(|(idx, _)| std::cmp::Reverse(*idx));
+    Ok(snaps)
 }
 
 /// Opens the WAL at `path` for appending, writing the header into a
@@ -108,24 +122,67 @@ impl CheckpointStore {
     /// the snapshot index and WAL sequence counter after any existing
     /// artifacts, so appends never collide with prior runs.
     pub fn open(dir: &Path) -> Result<Self> {
-        std::fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
-        let mut max_snap = 0u64;
-        for entry in std::fs::read_dir(dir).map_err(|e| io_err(dir, e))? {
-            let entry = entry.map_err(|e| io_err(dir, e))?;
-            if let Some(idx) = entry.file_name().to_str().and_then(snap_index) {
-                max_snap = max_snap.max(idx);
-            }
-        }
+        let snaps = snapshots(dir)?;
         // Validate the whole log but keep none of it: only the last
         // sequence number matters here.
         let scan = wal::scan_file_beyond(&dir.join(WAL_FILE), u64::MAX)?;
-        Ok(CheckpointStore {
+        Ok(Self::positioned(dir, &snaps, &scan))
+    }
+
+    /// A store positioned after the newest of `snaps` and the last
+    /// valid record of `scan`.
+    fn positioned(dir: &Path, snaps: &[(u64, PathBuf)], scan: &wal::WalScan) -> Self {
+        CheckpointStore {
             dir: dir.to_path_buf(),
-            next_snap: max_snap + 1,
+            next_snap: snaps.first().map_or(0, |(idx, _)| *idx) + 1,
             next_seq: scan.last_seq.unwrap_or(0) + 1,
             wal: None,
             frame: Vec::new(),
-        })
+        }
+    }
+
+    /// Restarts on `dir` as a fresh process would: recovers the newest
+    /// valid snapshot plus the WAL beyond it (see module docs), and
+    /// returns a store positioned exactly as [`open`](Self::open)
+    /// would leave it. The next sequence number comes from the same
+    /// validating pass that collects the tail, so the log is read once.
+    pub fn reopen(dir: &Path) -> Result<(Self, RecoveryOutcome)> {
+        Self::reopen_with(dir, BasestationCheckpoint::read_from, |cp| cp.last_seq)
+    }
+
+    /// Serve-flavored [`reopen`](Self::reopen), reading
+    /// [`ServeCheckpoint`] images.
+    pub fn reopen_serve(dir: &Path) -> Result<(Self, ServeRecoveryOutcome)> {
+        Self::reopen_with(dir, ServeCheckpoint::read_from, |cp| cp.last_seq)
+    }
+
+    /// [`reopen`](Self::reopen) over either snapshot flavor: walks the
+    /// snapshots newest-first until `read` validates one, then replays
+    /// the WAL beyond its `last_seq` (everything, on a cold start).
+    fn reopen_with<C>(
+        dir: &Path,
+        read: impl Fn(&Path) -> Result<C>,
+        last_seq: impl Fn(&C) -> u64,
+    ) -> Result<(Self, RecoveryOutcome<C>)> {
+        let snaps = snapshots(dir)?;
+        let mut out = RecoveryOutcome::genesis();
+        for (_, path) in &snaps {
+            out.snapshots_scanned += 1;
+            match read(path) {
+                Ok(cp) => {
+                    out.checkpoint = Some(cp);
+                    break;
+                }
+                Err(_) => out.corrupt_snapshots += 1,
+            }
+        }
+        let floor = out.checkpoint.as_ref().map_or(0, last_seq);
+        let scan = wal::scan_file_beyond(&dir.join(WAL_FILE), floor)?;
+        let store = Self::positioned(dir, &snaps, &scan);
+        out.cold_start = out.checkpoint.is_none();
+        out.corrupt_wal_tail = scan.torn_tail;
+        out.replayed = scan.records.into_iter().map(|(_, r)| r).collect();
+        Ok((store, out))
     }
 
     /// The directory this store manages.
@@ -167,59 +224,11 @@ impl CheckpointStore {
         Ok(idx)
     }
 
-    /// Walks the snapshot files newest-first, returning the first one
-    /// `read` validates plus the corrupt/scanned tallies. Generic over
-    /// the snapshot flavor so the basestation and serve recovery paths
-    /// share one scan policy.
-    fn newest_valid_snapshot<T>(
-        &self,
-        read: impl Fn(&Path) -> Result<T>,
-    ) -> Result<(Option<T>, usize, usize)> {
-        let mut snaps: Vec<(u64, PathBuf)> = Vec::new();
-        for entry in std::fs::read_dir(&self.dir).map_err(|e| io_err(&self.dir, e))? {
-            let entry = entry.map_err(|e| io_err(&self.dir, e))?;
-            if let Some(idx) = entry.file_name().to_str().and_then(snap_index) {
-                snaps.push((idx, entry.path()));
-            }
-        }
-        snaps.sort_by_key(|(idx, _)| std::cmp::Reverse(*idx));
-
-        let mut corrupt = 0;
-        let mut scanned = 0;
-        for (_, path) in &snaps {
-            scanned += 1;
-            match read(path) {
-                Ok(cp) => return Ok((Some(cp), corrupt, scanned)),
-                Err(_) => corrupt += 1,
-            }
-        }
-        Ok((None, corrupt, scanned))
-    }
-
-    /// Replays the WAL beyond `floor` (everything, on a cold start):
-    /// one validating pass that keeps only the records to apply.
-    fn replay_beyond(&self, floor: u64) -> Result<(Vec<WalRecord>, bool)> {
-        let scan = wal::scan_file_beyond(&self.dir.join(WAL_FILE), floor)?;
-        Ok((scan.records.into_iter().map(|(_, r)| r).collect(), scan.torn_tail))
-    }
-
     /// Recovers the latest consistent state: newest valid snapshot plus
     /// the idempotent WAL replay beyond it (see module docs for the
     /// full policy).
     pub fn recover(&self) -> Result<RecoveryOutcome> {
-        let (checkpoint, corrupt_snapshots, snapshots_scanned) =
-            self.newest_valid_snapshot(BasestationCheckpoint::read_from)?;
-        let floor = checkpoint.as_ref().map(|cp| cp.last_seq).unwrap_or(0);
-        let (replayed, corrupt_wal_tail) = self.replay_beyond(floor)?;
-        let cold_start = checkpoint.is_none();
-        Ok(RecoveryOutcome {
-            checkpoint,
-            replayed,
-            corrupt_snapshots,
-            snapshots_scanned,
-            corrupt_wal_tail,
-            cold_start,
-        })
+        Ok(Self::reopen(&self.dir)?.1)
     }
 
     /// Writes a serve-state snapshot atomically (same naming and index
@@ -238,19 +247,7 @@ impl CheckpointStore {
     /// snapshot walk and idempotent seq-filtered WAL replay, reading
     /// [`ServeCheckpoint`] images.
     pub fn recover_serve(&self) -> Result<ServeRecoveryOutcome> {
-        let (checkpoint, corrupt_snapshots, snapshots_scanned) =
-            self.newest_valid_snapshot(ServeCheckpoint::read_from)?;
-        let floor = checkpoint.as_ref().map(|cp| cp.last_seq).unwrap_or(0);
-        let (replayed, corrupt_wal_tail) = self.replay_beyond(floor)?;
-        let cold_start = checkpoint.is_none();
-        Ok(ServeRecoveryOutcome {
-            checkpoint,
-            replayed,
-            corrupt_snapshots,
-            snapshots_scanned,
-            corrupt_wal_tail,
-            cold_start,
-        })
+        Ok(Self::reopen_serve(&self.dir)?.1)
     }
 }
 

@@ -8,9 +8,14 @@ use acqp_persist::{CheckpointStore, PlanRecord};
 use proptest::prelude::*;
 
 fn valid_snapshot() -> Vec<u8> {
+    checkpoint_at(21).to_file_bytes()
+}
+
+/// A valid checkpoint that folds in every WAL record up to `last_seq`.
+fn checkpoint_at(last_seq: u64) -> BasestationCheckpoint {
     BasestationCheckpoint {
         epoch: 7,
-        last_seq: 21,
+        last_seq,
         plan: PlanRecord {
             version: 2,
             wire: vec![0x02, 0x01, 0x00],
@@ -22,7 +27,6 @@ fn valid_snapshot() -> Vec<u8> {
         mask_cache: None,
         ledgers: vec![[1.0, 0.5, 0.25, 0.0]],
     }
-    .to_file_bytes()
 }
 
 fn valid_wal() -> Vec<u8> {
@@ -76,9 +80,10 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
 
     /// The tail-only scan of a truncated or corrupted valid log is the
-    /// full scan filtered by `seq > floor`, with the same torn flag, and
-    /// a store opened on the log stamps the record after the full
-    /// scan's last one.
+    /// full scan filtered by `seq > floor`, with the same torn flag; a
+    /// store opened on the log stamps the record after the full scan's
+    /// last one, and so does a store recovered from it, whose one pass
+    /// over the log only keeps the tail.
     #[test]
     fn tail_scan_is_the_full_scan_beyond_the_floor(
         records in proptest::collection::vec((any_record(), 1u64..4), 0..10),
@@ -114,7 +119,20 @@ proptest! {
         prop_assert_eq!(out.corrupt_wal_tail, full.torn_tail);
         let replayed: Vec<WalRecord> =
             full.records.iter().filter(|(seq, _)| *seq > 0).map(|(_, r)| r.clone()).collect();
-        prop_assert_eq!(out.replayed, replayed);
+        prop_assert_eq!(&out.replayed, &replayed);
+        let (reopened, again) = CheckpointStore::reopen(&dir).unwrap();
+        prop_assert_eq!(reopened.next_seq(), store.next_seq());
+        prop_assert_eq!(again, out);
+
+        // With a snapshot at the floor, recovery replays only the tail
+        // yet still positions the store after the last valid record.
+        checkpoint_at(floor).write_to(&dir.join("snap-000001")).unwrap();
+        let (reopened, out) = CheckpointStore::reopen(&dir).unwrap();
+        prop_assert!(!out.cold_start);
+        prop_assert_eq!(out.corrupt_wal_tail, full.torn_tail);
+        let tail: Vec<WalRecord> = beyond.iter().map(|(_, r)| r.clone()).collect();
+        prop_assert_eq!(out.replayed, tail);
+        prop_assert_eq!(reopened.next_seq(), CheckpointStore::open(&dir).unwrap().next_seq());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -10,11 +10,12 @@
 //! and plan version. Every recovery outcome is counted under the
 //! `recovery.*` metric taxonomy.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use acqp_obs::{Counter, Recorder};
 use acqp_persist::{
-    BasestationCheckpoint, CheckpointStore, PersistError, ServeCheckpoint, WalRecord,
+    BasestationCheckpoint, CheckpointStore, PersistError, RecoveryOutcome, ServeCheckpoint,
+    ServeRecoveryOutcome, WalRecord,
 };
 
 /// Knobs for a crash-recovery simulation.
@@ -164,105 +165,34 @@ impl Journal {
         }
     }
 
-    /// Serve-flavored [`recover`](Self::recover): same reopen + newest
-    /// valid snapshot + WAL tail policy, reading serve checkpoints.
-    pub(crate) fn recover_serve(&mut self) -> RecoveredServeState {
-        let reopened = match CheckpointStore::open(self.store.dir()) {
-            Ok(s) => s,
-            Err(e) => {
-                self.error = Some(e);
-                return RecoveredServeState::genesis();
-            }
-        };
-        self.store = reopened;
-        match self.store.recover_serve() {
-            Ok(out) => RecoveredServeState {
-                checkpoint: out.checkpoint,
-                replayed: out.replayed,
-                corrupt_snapshots: out.corrupt_snapshots,
-                snapshots_scanned: out.snapshots_scanned,
-                cold_start: out.cold_start,
-            },
-            Err(e) => {
-                self.error = Some(e);
-                RecoveredServeState::genesis()
-            }
-        }
-    }
-
     /// Recovers as a freshly restarted process would: reopens the store
     /// (new handles, recomputed counters) and reads back the newest
-    /// valid snapshot plus the WAL tail beyond it. Corruption is
-    /// *absorbed* into the outcome, never an error; only I/O failures
-    /// latch.
-    pub(crate) fn recover(&mut self) -> RecoveredState {
-        let reopened = match CheckpointStore::open(self.store.dir()) {
-            Ok(s) => s,
+    /// valid snapshot plus the WAL tail beyond it, in one pass over the
+    /// log. Corruption is *absorbed* into the outcome, never an error;
+    /// only I/O failures latch.
+    pub(crate) fn recover(&mut self) -> RecoveryOutcome {
+        self.recover_with(CheckpointStore::reopen)
+    }
+
+    /// Serve-flavored [`recover`](Self::recover), reading serve
+    /// checkpoints.
+    pub(crate) fn recover_serve(&mut self) -> ServeRecoveryOutcome {
+        self.recover_with(CheckpointStore::reopen_serve)
+    }
+
+    fn recover_with<C>(
+        &mut self,
+        reopen: impl Fn(&Path) -> Result<(CheckpointStore, RecoveryOutcome<C>), PersistError>,
+    ) -> RecoveryOutcome<C> {
+        match reopen(self.store.dir()) {
+            Ok((store, out)) => {
+                self.store = store;
+                out
+            }
             Err(e) => {
                 self.error = Some(e);
-                return RecoveredState::genesis();
+                RecoveryOutcome::genesis()
             }
-        };
-        self.store = reopened;
-        match self.store.recover() {
-            Ok(out) => RecoveredState {
-                checkpoint: out.checkpoint,
-                replayed: out.replayed,
-                corrupt_snapshots: out.corrupt_snapshots,
-                snapshots_scanned: out.snapshots_scanned,
-                cold_start: out.cold_start,
-            },
-            Err(e) => {
-                self.error = Some(e);
-                RecoveredState::genesis()
-            }
-        }
-    }
-}
-
-/// What a crash restart found on disk (or the genesis default when
-/// persistence is disabled or unreadable).
-#[derive(Debug)]
-pub(crate) struct RecoveredState {
-    pub(crate) checkpoint: Option<BasestationCheckpoint>,
-    pub(crate) replayed: Vec<WalRecord>,
-    pub(crate) corrupt_snapshots: usize,
-    pub(crate) snapshots_scanned: usize,
-    pub(crate) cold_start: bool,
-}
-
-impl RecoveredState {
-    /// No persisted state at all: rebuild from the genesis plan.
-    pub(crate) fn genesis() -> Self {
-        RecoveredState {
-            checkpoint: None,
-            replayed: Vec::new(),
-            corrupt_snapshots: 0,
-            snapshots_scanned: 0,
-            cold_start: true,
-        }
-    }
-}
-
-/// What a serve crash restart found on disk.
-#[derive(Debug)]
-pub(crate) struct RecoveredServeState {
-    pub(crate) checkpoint: Option<ServeCheckpoint>,
-    pub(crate) replayed: Vec<WalRecord>,
-    pub(crate) corrupt_snapshots: usize,
-    pub(crate) snapshots_scanned: usize,
-    pub(crate) cold_start: bool,
-}
-
-impl RecoveredServeState {
-    /// No persisted serve state at all: the policy cold-starts.
-    pub(crate) fn genesis() -> Self {
-        RecoveredServeState {
-            checkpoint: None,
-            replayed: Vec::new(),
-            corrupt_snapshots: 0,
-            snapshots_scanned: 0,
-            cold_start: true,
         }
     }
 }

@@ -34,14 +34,16 @@ use acqp_core::{
     AttrId, CostModel, Error, ExecMode, Plan, PreparedPlan, Query, QueryStatus, Result, Schema,
 };
 use acqp_obs::{Counter, FlightRecorder, Hist, Recorder};
-use acqp_persist::{PlanRecord, ServeCheckpoint, ServeLiveRecord, ServePlanEntry, WalRecord};
+use acqp_persist::{
+    PlanRecord, RecoveryOutcome, ServeCheckpoint, ServeLiveRecord, ServePlanEntry, WalRecord,
+};
 use acqp_verify::verify_wire;
 
 use crate::basestation::PlannedQuery;
 use crate::energy::{EnergyLedger, EnergyModel};
 use crate::fault::{attempt_packet, FaultModel, FaultStats, FaultStream};
 use crate::mote::Mote;
-use crate::recovery::{core_err, CrashConfig, CrashRuntime, RecoveredServeState};
+use crate::recovery::{core_err, CrashConfig, CrashRuntime};
 use crate::sim::{emit_retry, result_packet_bytes};
 
 /// One entry of a service schedule: `query` is admitted at epoch
@@ -782,7 +784,7 @@ impl ServeEngine<'_> {
         }
         let recovered = match self.cr.journal.as_mut() {
             Some(j) => j.recover_serve(),
-            None => RecoveredServeState::genesis(),
+            None => RecoveryOutcome::genesis(),
         };
         let (cold, replayed, corrupt, scanned) = (
             recovered.cold_start,
@@ -1710,13 +1712,13 @@ mod tests {
     }
 
     #[test]
-    fn scalar_and_vectorized_service_agree_bitwise() {
+    fn service_runs_are_exact_across_windows_and_faults() {
         let (schema, data, query) = setup();
         let q2 = Query::new(vec![Pred::in_range(1, 1, 1), Pred::in_range(2, 1, 1)]).unwrap();
         let q3 = Query::new(vec![Pred::in_range(0, 0, 0), Pred::in_range(2, 1, 1)]).unwrap();
-        // The service runs one slot kernel whatever the exec mode, so
-        // both modes must agree bitwise. Input 1: two queries inside one
-        // short window. Input 2: more than two batch windows' worth of
+        // Each input runs once; its report must be exact and its
+        // ledgers and counters consistent. Input 1: two queries inside
+        // one short window. Input 2: more than two batch windows' worth of
         // epochs, admissions at unaligned epochs, mote 2's trace ending
         // mid-run, and q2's completion at 1377 re-admitting the other
         // two queries (every completion invalidates). Input 3: every
@@ -1765,7 +1767,7 @@ mod tests {
             ),
         ];
         for (traces, epochs, schedule, readmit_on_drift, faults) in inputs {
-            let run = |mode: ExecMode| {
+            let (s, counters, gauges) = {
                 let mut planner = DriftingPlanner(PlainPlanner {
                     bs: Basestation::new(schema.clone(), &data),
                     alpha: 0.01,
@@ -1779,7 +1781,7 @@ mod tests {
                 let crash = match faults {
                     Some(_) => {
                         let dir = std::env::temp_dir()
-                            .join(format!("acqp_serve_agree_{}_{mode:?}", std::process::id()));
+                            .join(format!("acqp_serve_exact_{}", std::process::id()));
                         std::fs::remove_dir_all(&dir).ok();
                         CrashConfig {
                             checkpoint_dir: Some(dir),
@@ -1803,7 +1805,7 @@ mod tests {
                     &mut fleet,
                     &EnergyModel::mica_like(),
                     epochs,
-                    mode,
+                    ExecMode::Scalar,
                     &rec,
                     &opts,
                 )
@@ -1811,10 +1813,9 @@ mod tests {
                 if let Some(dir) = &opts.crash.checkpoint_dir {
                     std::fs::remove_dir_all(dir).ok();
                 }
-                (rep, rec.drain().counters)
+                let snap = rec.drain();
+                (rep, snap.counters, snap.values)
             };
-            let (s, s_counters) = &run(ExecMode::Scalar);
-            let (v, v_counters) = &run(ExecMode::Vectorized);
             assert!(s.all_correct() && s.results() > 0);
             let rob = s.robustness.as_ref().expect("every run reports robustness");
             assert_eq!(rob.readmissions, if readmit_on_drift { 2 } else { 0 });
@@ -1827,18 +1828,22 @@ mod tests {
                 );
                 assert!(s.queries.iter().any(|q| q.status == QueryStatus::Partial));
             }
-            assert_eq!(s.performed_acquisitions, v.performed_acquisitions);
-            assert_eq!(s.demanded_acquisitions, v.demanded_acquisitions);
-            assert_eq!(s.bs_tx_uj.to_bits(), v.bs_tx_uj.to_bits());
-            for (a, b) in s.per_mote.iter().zip(&v.per_mote) {
-                assert_eq!(a.sensing_uj.to_bits(), b.sensing_uj.to_bits());
-                assert_eq!(a.board_uj.to_bits(), b.board_uj.to_bits());
-                assert_eq!(a.radio_tx_uj.to_bits(), b.radio_tx_uj.to_bits());
-                assert_eq!(a.radio_rx_uj.to_bits(), b.radio_rx_uj.to_bits());
+            // Merging never performs more reads than were demanded, and
+            // the recorder counted exactly what the report says.
+            assert!(s.performed_acquisitions <= s.demanded_acquisitions);
+            assert_eq!(counters["serve.acquisitions.performed"], s.performed_acquisitions);
+            assert_eq!(counters["serve.acquisitions.demanded"], s.demanded_acquisitions);
+            assert_eq!(counters["serve.results"], s.results() as u64);
+            assert!(s.bs_tx_uj > 0.0);
+            let mut network = EnergyLedger::default();
+            for (i, l) in s.per_mote.iter().enumerate() {
+                assert_eq!(
+                    gauges[&format!("sensornet.mote{i}.sensing_uj")].to_bits(),
+                    l.sensing_uj.to_bits()
+                );
+                network.absorb(l);
             }
-            assert_eq!(format!("{:?}", s.queries), format!("{:?}", v.queries));
-            assert_eq!(format!("{:?}", s.robustness), format!("{:?}", v.robustness));
-            assert_eq!(s_counters, v_counters);
+            assert_eq!(format!("{:?}", s.network), format!("{network:?}"));
         }
     }
 

@@ -47,14 +47,14 @@ use acqp_core::{
     Error, Plan, PreparedPlan, Query, Result, Schema, BATCH_ROWS,
 };
 use acqp_obs::{Counter, FlightRecorder, Hist, Recorder, TraceValue};
-use acqp_persist::{BasestationCheckpoint, PlanRecord, WalRecord};
+use acqp_persist::{BasestationCheckpoint, PlanRecord, RecoveryOutcome, WalRecord};
 use acqp_stream::SlidingWindow;
 
 use crate::basestation::{Basestation, PlannedQuery, ReplanBudget};
 use crate::energy::{EnergyLedger, EnergyModel};
 use crate::fault::{attempt_packet, Delivery, FaultModel, FaultStats, FaultStream};
 use crate::mote::Mote;
-use crate::recovery::{core_err, CrashConfig, CrashReport, CrashRuntime, Journal, RecoveredState};
+use crate::recovery::{core_err, CrashConfig, CrashReport, CrashRuntime, Journal};
 use crate::topology::Topology;
 
 /// Result of simulating one planned query over a fleet of motes.
@@ -889,7 +889,7 @@ impl Engine<'_> {
         let cr = &mut self.crash;
         let recovered = match cr.journal.as_mut() {
             Some(j) => j.recover(),
-            None => RecoveredState::genesis(),
+            None => RecoveryOutcome::genesis(),
         };
         let (rec_cold, rec_corrupt, rec_replayed, rec_scanned) = (
             recovered.cold_start,

@@ -8,6 +8,8 @@
 //!   `(query signature, stats epoch)` so repeat admissions skip plan
 //!   search entirely, and arms a per-signature [`DriftMonitor`] whose
 //!   firing bumps the stats epoch and invalidates every cached plan.
+//!   Both slots keep their query and answer only that exact query, so a
+//!   signature collision is planned fresh instead of aliased.
 //! * [`serve_schedule`] — the turn-key entry point: builds the fleet,
 //!   runs the schedule through [`run_service_with`], and distills a
 //!   [`ServeReport`] with p50/p99 admission-to-result latency (in
@@ -77,14 +79,16 @@ impl Default for ServeConfig {
 /// counts into a per-signature [`DriftMonitor`], and a drifted monitor
 /// bumps the stats epoch — orphaning (and dropping) every cached plan,
 /// so the next admission of any signature re-plans against fresh keys.
+///
+/// The signature is a 64-bit hash, so every cache entry and monitor
+/// keeps the query it belongs to and serves only that query. A query
+/// whose signature is taken by another is planned and verified fresh on
+/// every admission, and is neither cached nor monitored.
 pub struct Service<'h> {
     bs: Basestation<'h>,
     cfg: ServeConfig,
-    cache: BTreeMap<(u64, u64), PlannedQuery>,
-    monitors: BTreeMap<u64, DriftMonitor>,
-    /// Signature -> query, so checkpoints can serialize the cache with
-    /// enough context to re-arm drift monitors on recovery.
-    queries: BTreeMap<u64, Query>,
+    cache: BTreeMap<(u64, u64), (Query, PlannedQuery)>,
+    monitors: BTreeMap<u64, (Query, DriftMonitor)>,
     stats_epoch: u64,
 }
 
@@ -96,14 +100,7 @@ impl<'h> Service<'h> {
         if cfg.candidate_splits.is_empty() {
             return Err(acqp_core::Error::EmptyQuery);
         }
-        Ok(Service {
-            bs,
-            cfg,
-            cache: BTreeMap::new(),
-            monitors: BTreeMap::new(),
-            queries: BTreeMap::new(),
-            stats_epoch: 0,
-        })
+        Ok(Service { bs, cfg, cache: BTreeMap::new(), monitors: BTreeMap::new(), stats_epoch: 0 })
     }
 
     /// Plans currently cached.
@@ -120,28 +117,36 @@ impl<'h> Service<'h> {
 impl ServePlanner for Service<'_> {
     fn plan_admitted(&mut self, query: &Query, _epoch: usize) -> Result<AdmittedPlan> {
         let sig = query.signature();
-        self.queries.entry(sig).or_insert_with(|| query.clone());
-        if let Some(planned) = self.cache.get(&(sig, self.stats_epoch)) {
+        let key = (sig, self.stats_epoch);
+        let cached = self.cache.get(&key);
+        if let Some((_, planned)) = cached.filter(|(owner, _)| owner == query) {
             return Ok(AdmittedPlan { planned: planned.clone(), cache_hit: true, subproblems: 0 });
         }
+        let collides =
+            cached.is_some() || self.monitors.get(&sig).is_some_and(|(owner, _)| owner != query);
         let (_, planned, subproblems) =
             self.bs.plan_query_sized_reported(query, self.cfg.alpha, &self.cfg.candidate_splits)?;
         // Nothing unverified is ever memoized: the cache boundary
         // re-runs the static verifier, so every future hit hands out
         // bytes that are known-good for this exact query.
         acqp_verify::verify_wire(&planned.wire, query, self.bs.schema())?;
-        self.cache.insert((sig, self.stats_epoch), planned.clone());
-        if !self.monitors.contains_key(&sig) {
-            let monitor =
-                DriftMonitor::new(self.bs.estimated_selectivities(query), self.cfg.drift)?;
-            self.monitors.insert(sig, monitor);
+        if !collides {
+            self.cache.insert(key, (query.clone(), planned.clone()));
+            if !self.monitors.contains_key(&sig) {
+                let monitor =
+                    DriftMonitor::new(self.bs.estimated_selectivities(query), self.cfg.drift)?;
+                self.monitors.insert(sig, (query.clone(), monitor));
+            }
         }
         Ok(AdmittedPlan { planned, cache_hit: false, subproblems })
     }
 
     fn query_completed(&mut self, query: &Query, _epoch: usize, pred_counts: &[(u64, u64)]) -> u64 {
         let sig = query.signature();
-        let Some(monitor) = self.monitors.get_mut(&sig) else { return 0 };
+        let Some((_, monitor)) = self.monitors.get_mut(&sig).filter(|(owner, _)| owner == query)
+        else {
+            return 0;
+        };
         for (j, &(evaluated, passed)) in pred_counts.iter().enumerate() {
             if j < monitor.len() && evaluated > 0 && passed <= evaluated {
                 monitor.observe_counts(j, evaluated, passed);
@@ -167,19 +172,17 @@ impl ServePlanner for Service<'_> {
     }
 
     fn policy_state(&self) -> Option<ServePolicyState> {
-        let mut plans = Vec::new();
-        for (&(sig, key_epoch), planned) in &self.cache {
-            if let Some(query) = self.queries.get(&sig) {
-                plans.push((query.clone(), key_epoch, planned.clone()));
-            }
-        }
+        let plans = self
+            .cache
+            .iter()
+            .map(|(&(_, key_epoch), (query, planned))| (query.clone(), key_epoch, planned.clone()))
+            .collect();
         Some(ServePolicyState { stats_epoch: self.stats_epoch, plans })
     }
 
     fn restore_policy_state(&mut self, state: Option<ServePolicyState>) {
         self.cache.clear();
         self.monitors.clear();
-        self.queries.clear();
         let Some(st) = state else {
             // Cold start: the policy is back at genesis and re-plans
             // (and re-arms monitors) on the next admission.
@@ -201,11 +204,10 @@ impl ServePlanner for Service<'_> {
                 if let Ok(monitor) =
                     DriftMonitor::new(self.bs.estimated_selectivities(&query), self.cfg.drift)
                 {
-                    self.monitors.insert(sig, monitor);
+                    self.monitors.insert(sig, (query.clone(), monitor));
                 }
             }
-            self.cache.insert((sig, key_epoch), planned);
-            self.queries.insert(sig, query);
+            self.cache.insert((sig, key_epoch), (query, planned));
         }
     }
 }
@@ -481,6 +483,38 @@ mod tests {
         assert_eq!(rep.cache_invalidations, 2);
         assert_eq!(rep.cache_misses, 2);
         assert_eq!(rep.cache_hits, 0);
+    }
+
+    /// Two queries sharing a 64-bit signature must never share a cache
+    /// slot: plant query A's cached plan and monitor under query B's
+    /// signature, as a collision would leave them.
+    #[test]
+    fn a_signature_collision_is_planned_fresh_not_aliased() {
+        let (schema, data, q1, q2) = setup();
+        let bs = Basestation::new(schema.clone(), &data);
+        let mut service = Service::new(bs, ServeConfig::default()).unwrap();
+        assert!(!service.plan_admitted(&q1, 0).unwrap().cache_hit);
+        let (sig1, sig2) = (q1.signature(), q2.signature());
+        let entry = service.cache.remove(&(sig1, 0)).unwrap();
+        service.cache.insert((sig2, 0), entry);
+        let monitor = service.monitors.remove(&sig1).unwrap();
+        service.monitors.insert(sig2, monitor);
+
+        for _ in 0..2 {
+            let admitted = service.plan_admitted(&q2, 0).unwrap();
+            assert!(!admitted.cache_hit, "another query's plan was handed out");
+            acqp_verify::verify_wire(&admitted.planned.wire, &q2, &schema).unwrap();
+        }
+        // The colliding query took over neither slot.
+        assert_eq!(service.cached_plans(), 1);
+        assert_eq!(service.cache[&(sig2, 0)].0, q1);
+        assert_eq!(service.monitors[&sig2].0, q1);
+        // Its completions never feed the other query's monitor, even
+        // with counts that would trip any drift threshold.
+        let before = format!("{:?}", service.monitors[&sig2].1);
+        assert_eq!(service.query_completed(&q2, 10, &[(1000, 0), (1000, 0)]), 0);
+        assert_eq!(format!("{:?}", service.monitors[&sig2].1), before);
+        assert_eq!(service.stats_epoch, 0);
     }
 
     #[test]

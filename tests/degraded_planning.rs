@@ -3,7 +3,7 @@
 //! under the failure that forces it, always returning a plan that
 //! answers the query correctly.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 use acqp::core::prelude::*;
 use acqp::obs::{MemorySink, Recorder};
@@ -12,7 +12,7 @@ use acqp::obs::{MemorySink, Recorder};
 /// behaves normally — a transient bug inside the greedy cut sweep.
 struct FlakyEstimator<'d> {
     inner: CountingEstimator<'d>,
-    fuse: AtomicUsize,
+    fuse: Cell<usize>,
 }
 
 impl<'d> Estimator for FlakyEstimator<'d> {
@@ -40,11 +40,8 @@ impl<'d> Estimator for FlakyEstimator<'d> {
         self.inner.truth_table(ctx, query)
     }
     fn truth_by_value(&self, ctx: &Self::Ctx, attr: AttrId, query: &Query) -> Vec<TruthTable> {
-        if self
-            .fuse
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
-            .is_ok()
-        {
+        if let Some(left) = self.fuse.get().checked_sub(1) {
+            self.fuse.set(left);
             panic!("injected transient estimator fault");
         }
         self.inner.truth_by_value(ctx, attr, query)
@@ -146,7 +143,7 @@ fn ladder_rung_greedy_seq_when_both_conditional_stages_fail() {
     let (schema, data, query) = setup();
     let est = FlakyEstimator {
         inner: CountingEstimator::with_ranges(&data, Ranges::root(&schema)),
-        fuse: AtomicUsize::new(usize::MAX),
+        fuse: Cell::new(usize::MAX),
     };
     let rec = Recorder::new(std::sync::Arc::new(MemorySink::new()));
     let report = FallbackPlanner::new()

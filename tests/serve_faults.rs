@@ -4,7 +4,7 @@
 //!
 //! 1. **Transparency** — a zero-rate fault seed plus `collect_rows`,
 //!    with no crashes and a no-op policy, leaves every count and ledger
-//!    of a default run *bitwise* unchanged, in both exec modes.
+//!    of a default run *bitwise* unchanged.
 //! 2. **Reproducibility** — a lossy serve run is a pure function of its
 //!    fault seed: same seed, same schedule ⇒ identical outcomes, rows
 //!    and energy to the bit.
@@ -35,7 +35,7 @@ use proptest::prelude::*;
 mod common;
 use common::{instance_strategy, Instance};
 
-/// Honors the `PROPTEST_CASES` override the sanitizer CI jobs set.
+/// Honors a `PROPTEST_CASES` override, so a slow build can run fewer cases.
 fn cases(default_n: u32) -> u32 {
     std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(default_n)
 }
@@ -53,12 +53,7 @@ fn assert_ledgers_bitwise(a: &EnergyLedger, b: &EnergyLedger, ctx: &str) {
     assert_eq!(a.radio_rx_uj.to_bits(), b.radio_rx_uj.to_bits(), "{ctx}: radio_rx_uj");
 }
 
-fn serve_instance(
-    inst: &Instance,
-    schedule: &[ScheduleEntry],
-    mode: ExecMode,
-    cfg: ServeConfig,
-) -> ServeReport {
+fn serve_instance(inst: &Instance, schedule: &[ScheduleEntry], cfg: ServeConfig) -> ServeReport {
     serve_schedule(
         &inst.schema,
         &inst.data,
@@ -67,7 +62,7 @@ fn serve_instance(
         2,
         &EnergyModel::mica_like(),
         inst.data.len(),
-        mode,
+        ExecMode::Scalar,
         cfg,
         &Recorder::disabled(),
     )
@@ -105,59 +100,48 @@ proptest! {
 
     /// A zero-rate fault model with its own seed, plus `collect_rows`,
     /// changes nothing: with no crashes and a no-op policy every count
-    /// and every ledger matches the default run bitwise, in both modes.
+    /// and every ledger matches the default run bitwise.
     #[test]
     fn robust_engine_at_loss_zero_is_bitwise_transparent(inst in instance_strategy()) {
         let schedule = staggered_schedule(&inst);
-        for mode in [ExecMode::Scalar, ExecMode::Vectorized] {
-            let base = serve_instance(&inst, &schedule, mode, ServeConfig::default());
-            let robust = serve_instance(
-                &inst,
-                &schedule,
-                mode,
-                ServeConfig {
-                    faults: FaultModel { seed: 99, ..FaultModel::none() },
-                    collect_rows: true,
-                    ..ServeConfig::default()
-                },
-            );
-            prop_assert_eq!(base.service.tuples(), robust.service.tuples(), "{:?}", mode);
-            prop_assert_eq!(base.service.results(), robust.service.results(), "{:?}", mode);
-            prop_assert!(robust.service.all_correct());
-            assert_ledgers_bitwise(
-                &base.service.network,
-                &robust.service.network,
-                &format!("{mode:?}: network"),
-            );
-            for (i, (a, b)) in
-                base.service.per_mote.iter().zip(&robust.service.per_mote).enumerate()
-            {
-                assert_ledgers_bitwise(a, b, &format!("{mode:?}: mote {i}"));
-            }
-            prop_assert_eq!(
-                base.service.bs_tx_uj.to_bits(),
-                robust.service.bs_tx_uj.to_bits(),
-                "{:?}: dissemination energy", mode
-            );
-            for (i, (a, b)) in
-                base.service.queries.iter().zip(&robust.service.queries).enumerate()
-            {
-                prop_assert_eq!(a.tuples, b.tuples, "q{}: tuples", i);
-                prop_assert_eq!(a.results, b.results, "q{}: results", i);
-                prop_assert_eq!(a.cache_hit, b.cache_hit, "q{}: cache_hit", i);
-                prop_assert_eq!(a.completed_at, b.completed_at, "q{}: completed_at", i);
-                prop_assert_eq!(a.status, b.status, "q{}: status", i);
-                // Rows are collected only on request, and every
-                // delivered result is accounted for at loss 0.
-                prop_assert_eq!(b.rows.len(), b.results, "q{}: rows", i);
-            }
-            // The robust report records nothing degraded.
-            let rob = robust.service.robustness.as_ref().expect("every run reports robustness");
-            prop_assert_eq!(rob.lost_results, 0);
-            prop_assert_eq!(rob.aborted_tuples, 0);
-            prop_assert_eq!(rob.shed + rob.timed_out, 0);
-            prop_assert_eq!(rob.crashes, 0);
+        let base = serve_instance(&inst, &schedule, ServeConfig::default());
+        let robust = serve_instance(
+            &inst,
+            &schedule,
+            ServeConfig {
+                faults: FaultModel { seed: 99, ..FaultModel::none() },
+                collect_rows: true,
+                ..ServeConfig::default()
+            },
+        );
+        prop_assert_eq!(base.service.tuples(), robust.service.tuples());
+        prop_assert_eq!(base.service.results(), robust.service.results());
+        prop_assert!(robust.service.all_correct());
+        assert_ledgers_bitwise(&base.service.network, &robust.service.network, "network");
+        for (i, (a, b)) in base.service.per_mote.iter().zip(&robust.service.per_mote).enumerate() {
+            assert_ledgers_bitwise(a, b, &format!("mote {i}"));
         }
+        prop_assert_eq!(
+            base.service.bs_tx_uj.to_bits(),
+            robust.service.bs_tx_uj.to_bits(),
+            "dissemination energy"
+        );
+        for (i, (a, b)) in base.service.queries.iter().zip(&robust.service.queries).enumerate() {
+            prop_assert_eq!(a.tuples, b.tuples, "q{}: tuples", i);
+            prop_assert_eq!(a.results, b.results, "q{}: results", i);
+            prop_assert_eq!(a.cache_hit, b.cache_hit, "q{}: cache_hit", i);
+            prop_assert_eq!(a.completed_at, b.completed_at, "q{}: completed_at", i);
+            prop_assert_eq!(a.status, b.status, "q{}: status", i);
+            // Rows are collected only on request, and every delivered
+            // result is accounted for at loss 0.
+            prop_assert_eq!(b.rows.len(), b.results, "q{}: rows", i);
+        }
+        // The robust report records nothing degraded.
+        let rob = robust.service.robustness.as_ref().expect("every run reports robustness");
+        prop_assert_eq!(rob.lost_results, 0);
+        prop_assert_eq!(rob.aborted_tuples, 0);
+        prop_assert_eq!(rob.shed + rob.timed_out, 0);
+        prop_assert_eq!(rob.crashes, 0);
     }
 
     /// A lossy serve run with sensing failures is bitwise reproducible
@@ -173,8 +157,8 @@ proptest! {
             collect_rows: true,
             ..ServeConfig::default()
         };
-        let a = serve_instance(&inst, &schedule, ExecMode::Scalar, cfg());
-        let b = serve_instance(&inst, &schedule, ExecMode::Scalar, cfg());
+        let a = serve_instance(&inst, &schedule, cfg());
+        let b = serve_instance(&inst, &schedule, cfg());
         assert_ledgers_bitwise(&a.service.network, &b.service.network, "network");
         for (i, (x, y)) in a.service.per_mote.iter().zip(&b.service.per_mote).enumerate() {
             assert_ledgers_bitwise(x, y, &format!("mote {i}"));

@@ -31,7 +31,7 @@ use acqp::verify::{verify_wire, Certificate};
 use common::{instance_strategy, Instance};
 use proptest::prelude::*;
 
-/// Honors the `PROPTEST_CASES` override the sanitizer CI jobs set.
+/// Honors a `PROPTEST_CASES` override, so a slow build can run fewer cases.
 fn cases(default_n: u32) -> u32 {
     std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(default_n)
 }
